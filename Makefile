@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario cover fuzz-smoke fmt vet fmt-check ci
+.PHONY: build test race bench bench-json bench-harness serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario cover fuzz-smoke fmt vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,13 @@ bench-json:
 		| tee BENCH_$(BENCHSTAMP).txt \
 		| $(GO) run ./cmd/benchjson > BENCH_$(BENCHSTAMP).json
 	@echo "wrote BENCH_$(BENCHSTAMP).txt and BENCH_$(BENCHSTAMP).json"
+
+# Benchmark-harness check: cmd/icgmm-bench is its own module (its go.mod
+# points repro at the repository root), so the root `go test ./...` never
+# builds it. Vet and test it here, so an API change in a package it calls
+# fails CI instead of the next benchmark run.
+bench-harness:
+	cd cmd/icgmm-bench && $(GO) vet . && $(GO) test .
 
 # Serving smoke: a short icgmm-serve run under the race detector, exercising
 # ingest, batched admission, a drift-triggered sync refresh, and JSONL
@@ -122,7 +129,7 @@ test-scenario:
 
 # Ratcheted coverage floors for the packages the test subsystem hardens.
 # Raise a floor when coverage grows; never lower one.
-COVER_FLOORS := ./internal/serve:91 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:95
+COVER_FLOORS := ./internal/serve:91 ./internal/stats:95 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:95
 cover:
 	@fail=0; \
 	for spec in $(COVER_FLOORS); do \
@@ -140,9 +147,10 @@ cover:
 
 # Fuzz smoke: 20 seconds per target against the trace CSV parser, the
 # -tenants JSON spec parser, the declarative run-spec wire format, the spec's
-# device-timing block, the scenario/clients/shadow blocks, and the Q16.16
-# quantizer's batch/scalar parity contract. -run='^$$' skips the unit tests
-# so the time budget goes entirely to fuzzing.
+# device-timing block, the scenario/clients/shadow blocks, the Q16.16
+# quantizer's batch/scalar parity contract, and the checkpoint's histogram
+# state decoder. -run='^$$' skips the unit tests so the time budget goes
+# entirely to fuzzing.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzParseRecord -fuzztime=20s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzTenantSpec -fuzztime=20s
@@ -150,6 +158,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDeviceSpec -fuzztime=20s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=20s
 	$(GO) test ./internal/gmm -run='^$$' -fuzz=FuzzQuantizeRoundTrip -fuzztime=20s
+	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzHistogramState -fuzztime=20s
 
 fmt:
 	gofmt -w .
@@ -163,4 +172,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet build race cover bench serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario fuzz-smoke
+ci: fmt-check vet build race cover bench bench-harness serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario fuzz-smoke

@@ -292,7 +292,7 @@ func startTelemetry(spec serve.Spec, sess *serve.Session) (*cliTelemetry, error)
 }
 
 // afterStep publishes the session's progress after each batch, and a full
-// snapshot (which sorts retained histogram samples) every `every` batches.
+// snapshot (which merges every partition's histograms) every `every` batches.
 func (t *cliTelemetry) afterStep(sess *serve.Session) {
 	if t.reg == nil {
 		return

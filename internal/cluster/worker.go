@@ -52,8 +52,9 @@ type workerSession struct {
 	lastCkpt *checkpointInfo
 	closed   bool
 	// lastPub is when the session's full snapshot was last published to the
-	// telemetry registry. Snapshots sort retained histogram samples, so
-	// publishing is time-gated (snapshotMinGap) rather than per-step.
+	// telemetry registry. Each snapshot merges every partition and tenant
+	// histogram, so publishing is time-gated (snapshotMinGap) rather than
+	// per-step.
 	lastPub time.Time
 }
 

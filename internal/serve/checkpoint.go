@@ -19,7 +19,11 @@ import (
 )
 
 // checkpointFormat versions the on-disk checkpoint document.
-const checkpointFormat = "icgmm-session-v1"
+//
+// v2 stores histograms as bucket counts only. Decoding is not strict, so a v1
+// document (with retained raw samples) must be refused by its format rather
+// than load with its samples silently dropped.
+const checkpointFormat = "icgmm-session-v2"
 
 // checkpointDoc is the complete persisted form of a paused session: the
 // spec that opened it plus every piece of mutable state the run has
@@ -29,7 +33,7 @@ const checkpointFormat = "icgmm-session-v1"
 // document to be exhaustive — the scoring bundle (whose stored resident
 // scores were possibly rescored by refreshes), every cache's contents and
 // owner map, tenant budgets and residency, the controller's hill-climb and
-// cooldown state, every histogram including its retained raw samples, and
+// cooldown state, every histogram's bucket counts and exact accumulator, and
 // the workload streams' RNG cursors. Floats survive the JSON round trip
 // exactly (encoding/json emits the shortest representation that re-parses
 // to identical bits), so nothing here is approximate.

@@ -223,6 +223,9 @@ type controller struct {
 	// the constant-ShareFloor fallback. Derived once at construction — rates
 	// are spec constants — so checkpoints need not carry it.
 	floors []int
+	// p99 is the p99_ns measurement's merge target, reset and reused every
+	// control step so a measurement allocates nothing once its buckets grew.
+	p99 stats.Histogram
 }
 
 // ctrlObs is one tenant's classification for the current control interval,
@@ -488,8 +491,8 @@ func (c *controller) measure(ti int, q QoSSpec) (v float64, ok bool) {
 		}
 		return float64(sum) / float64(count), true
 	default: // QoSP99Ns
-		agg := stats.DefaultLatencyHistogram()
-		agg.SetRetention(len(s.parts) << 16)
+		agg := &c.p99
+		agg.Reset()
 		for _, p := range s.parts {
 			agg.Merge(p.ten[ti].ctrlHist)
 		}

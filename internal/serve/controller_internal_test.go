@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -359,5 +360,33 @@ func TestControllerShareFloorAndEligibility(t *testing.T) {
 	s.ctrl.step()
 	if b := s.parts[0].pol; b.Budget(0) != 2 || b.Budget(2) != 8 {
 		t.Fatalf("holding/static tenants were raided: budgets %d/%d/%d", b.Budget(0), b.Budget(1), b.Budget(2))
+	}
+}
+
+// TestControllerMeasureP99 covers the p99_ns QoS branch: one control interval
+// whose first partition sees 70,000 fast samples before a slow tail must
+// report the tail, merged across partitions — a histogram keeping only its
+// first 65,536 samples reported the fast prefix — and a measurement must not
+// allocate. Not parallel: AllocsPerRun counts every goroutine's mallocs.
+func TestControllerMeasureP99(t *testing.T) {
+	q := QoSSpec{Metric: QoSP99Ns, Target: 50_000, Band: 0.10}
+	h := newCtrlHarness(t, []TenantSpec{{Name: "lat", Share: 1, QoS: &q}}, []int{4}, ControlConfig{Every: 1, Step: 2})
+	s := h.svc
+	fill := func(pi, n int, ns int64) {
+		cell := &s.parts[pi].ten[0]
+		for i := 0; i < n; i++ {
+			cell.ctrlHist.Observe(ns)
+		}
+		cell.ctrlOps += uint64(n)
+	}
+	fill(0, 70_000, 1_000)
+	fill(0, 2_000, 2_000_000)
+	fill(1, 10_000, 1_000) // 82,000 samples: the p99 rank 81,180 is in the tail
+	v, ok := s.ctrl.measure(0, q)
+	if !ok || math.Abs(v-2e6) > 2e6/128 {
+		t.Fatalf("measured p99 = %v (ok=%v), want 2ms within 1/128", v, ok)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.ctrl.measure(0, q) }); allocs != 0 {
+		t.Errorf("p99_ns measurement allocates %v per control step, want 0", allocs)
 	}
 }

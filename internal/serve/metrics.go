@@ -126,10 +126,6 @@ func (s *Snapshot) HitRatio() float64 { return s.Cache.HitRate() }
 // Run).
 func (s *Service) Snapshot() *Snapshot {
 	agg := stats.DefaultLatencyHistogram()
-	// Size the aggregate's sample retention for every partition's retained
-	// samples, so merged percentiles weigh all partitions instead of
-	// filling the default cap from partition 0 alone.
-	agg.SetRetention(len(s.parts) << 16)
 	snap := &Snapshot{
 		Batches:         s.batches,
 		Refreshes:       s.refresher.installed,
@@ -238,9 +234,6 @@ func (s *Service) tenantSnapshots() []TenantSnapshot {
 		cxlH := stats.DefaultLatencyHistogram()
 		hbmH := stats.DefaultLatencyHistogram()
 		ssdH := stats.DefaultLatencyHistogram()
-		for _, h := range []*stats.Histogram{hist, cxlH, hbmH, ssdH} {
-			h.SetRetention(len(s.parts) << 16)
-		}
 		ts := TenantSnapshot{
 			Tenant:    t.spec.Name,
 			Threshold: t.threshold,
@@ -389,8 +382,8 @@ func (m *metricsWriter) writeRefresh(batch, installed uint64, threshold float64)
 
 // emitInterval writes one periodic aggregate record and feeds the interval
 // throughput Welford. It reads only O(partitions) counters — no histogram
-// percentile sorting — so periodic reporting stays off the ingest loop's
-// critical path; p50/p99 appear in the final partition/summary records.
+// merges — so periodic reporting stays off the ingest loop's critical path;
+// p50/p99 appear in the final partition/summary records.
 // Write errors stick in the metricsWriter and are surfaced by processBatch.
 func (s *Service) emitInterval(batchHitRatio float64) {
 	var ops, hits, misses, bypasses uint64
@@ -443,7 +436,7 @@ func (s *Service) emitInterval(batchHitRatio float64) {
 	}
 	s.metrics.write(rec)
 	// Explicit multi-tenant runs also get one cumulative per-tenant line —
-	// O(partitions) counter sums, no percentile sorting.
+	// O(partitions) counter sums, no histogram merges.
 	if len(s.cfg.Tenants) > 0 {
 		for ti, t := range s.tenants {
 			tOps, tHits, tBytes, tResident := s.tenantCounters(ti)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/serve"
@@ -453,5 +454,13 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		if _, err := serve.Resume(bytes.NewReader(tamper(t, mutate)), nil); err == nil {
 			t.Errorf("%s: corrupt checkpoint resumed", name)
 		}
+	}
+
+	// A v1 document kept raw samples in every histogram. Decoding is not
+	// strict, so only its format stops it loading with the samples dropped.
+	v1 := tamper(t, func(doc map[string]any) { doc["format"] = "icgmm-session-v1" })
+	_, err = serve.Resume(bytes.NewReader(v1), nil)
+	if err == nil || !strings.Contains(err.Error(), `unknown checkpoint format "icgmm-session-v1"`) {
+		t.Errorf("v1 checkpoint: err = %v, want the unknown-format error", err)
 	}
 }

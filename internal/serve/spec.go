@@ -268,8 +268,9 @@ type TelemetrySpec struct {
 	Trace string `json:"trace,omitempty"`
 	// SnapshotEvery is how often (in ingest batches) the loader publishes a
 	// full Session.Metrics snapshot to the /metrics and /status endpoints
-	// (default 16). Snapshots sort retained histogram samples, so very
-	// small values trade serving throughput for telemetry freshness.
+	// (default 16). Each snapshot merges every partition and tenant
+	// histogram, so very small values trade serving throughput for
+	// telemetry freshness.
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
 }
 

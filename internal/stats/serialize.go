@@ -45,34 +45,18 @@ func (w *Welford) RestoreState(s WelfordState) {
 	w.n, w.mean, w.m2 = s.N, s.Mean, s.M2
 }
 
-// HistogramState is the full state of a Histogram: geometry, bucket counts,
-// the exact accumulator, and the retained raw samples in observation order.
-// Sample order matters — Merge truncates at the destination's retention cap,
-// so two histograms with the same samples in different orders can diverge
-// after a capped merge — which is why State preserves it.
+// HistogramState is the full state of a Histogram: its non-empty bucket
+// counts by bucket index, and the exact accumulator.
 type HistogramState struct {
-	Base    float64          `json:"base"`
-	Growth  float64          `json:"growth"`
-	NBucket int              `json:"nbuckets"`
-	Buckets map[int]uint64   `json:"buckets,omitempty"` // sparse: only non-zero
-	Under   uint64           `json:"under,omitempty"`
+	Buckets map[int]uint64   `json:"buckets,omitempty"`
 	Acc     AccumulatorState `json:"acc"`
-	Samples []int64          `json:"samples,omitempty"`
-	MaxKeep int              `json:"max_keep"`
 }
 
-// State exports the histogram. Bucket counts are stored sparsely (most of a
-// latency histogram's 240 buckets are empty), samples verbatim.
+// State exports the histogram. Bucket counts are stored sparsely: a latency
+// histogram occupies a small fraction of its 3,712 buckets.
 func (h *Histogram) State() HistogramState {
-	s := HistogramState{
-		Base:    h.base,
-		Growth:  h.growth,
-		NBucket: len(h.buckets),
-		Under:   h.under,
-		Acc:     h.acc.State(),
-		MaxKeep: h.maxKeep,
-	}
-	for i, c := range h.buckets {
+	s := HistogramState{Acc: h.acc.State()}
+	for i, c := range h.counts {
 		if c > 0 {
 			if s.Buckets == nil {
 				s.Buckets = make(map[int]uint64)
@@ -80,32 +64,40 @@ func (h *Histogram) State() HistogramState {
 			s.Buckets[i] = c
 		}
 	}
-	if len(h.samples) > 0 {
-		s.Samples = append([]int64(nil), h.samples...)
-	}
 	return s
 }
 
-// RestoreState replaces the histogram's entire contents — geometry included —
-// with the exported state.
+// RestoreState replaces the histogram's contents with the exported state. It
+// rejects bucket indices outside the geometry, empty bucket entries (State
+// never writes one) and bucket counts that do not sum to the sample count, so
+// an accepted state exports back unchanged.
 func (h *Histogram) RestoreState(s HistogramState) error {
-	if s.Base <= 0 || s.Growth <= 1 || s.NBucket <= 0 {
-		return errors.New("stats: histogram state with invalid geometry")
+	if s.Acc.Count < 0 {
+		return errors.New("stats: histogram state with a negative sample count")
 	}
-	if len(s.Samples) > s.MaxKeep {
-		return errors.New("stats: histogram state retains more samples than its cap")
-	}
-	h.base, h.growth = s.Base, s.Growth
-	h.buckets = make([]uint64, s.NBucket)
+	left, top := uint64(s.Acc.Count), -1
 	for i, c := range s.Buckets {
-		if i < 0 || i >= s.NBucket {
+		switch {
+		case i < 0 || i >= numBuckets:
 			return errors.New("stats: histogram state bucket index out of range")
+		case c == 0:
+			return errors.New("stats: histogram state with an empty bucket entry")
+		case c > left:
+			return errors.New("stats: histogram state bucket counts exceed its sample count")
 		}
-		h.buckets[i] = c
+		left -= c
+		top = max(top, i)
 	}
-	h.under = s.Under
+	if left != 0 {
+		return errors.New("stats: histogram state bucket counts fall short of its sample count")
+	}
+	h.Reset()
+	if top >= len(h.counts) {
+		h.grow(top)
+	}
+	for i, c := range s.Buckets {
+		h.counts[i] = c
+	}
 	h.acc.RestoreState(s.Acc)
-	h.samples = append(h.samples[:0], s.Samples...)
-	h.maxKeep = s.MaxKeep
 	return nil
 }

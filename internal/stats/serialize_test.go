@@ -1,25 +1,25 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // TestHistogramStateRoundTrip: State/RestoreState must reproduce the
-// histogram exactly — counts, accumulator, retained samples in order — and
-// survive a JSON round trip, since the serving checkpoint ships the state
-// as JSON.
+// histogram exactly — bucket counts and accumulator — and survive a JSON
+// round trip, since the serving checkpoint ships the state as JSON.
 func TestHistogramStateRoundTrip(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	h := DefaultLatencyHistogram()
-	h.SetRetention(1 << 17)
 	for i := 0; i < 5000; i++ {
 		h.Observe(int64(rng.ExpFloat64() * 2e5))
 	}
-	h.Observe(3) // below-base bucket
+	h.Observe(3) // exact bucket
 
 	data, err := json.Marshal(h.State())
 	if err != nil {
@@ -53,15 +53,63 @@ func TestHistogramStateRoundTrip(t *testing.T) {
 
 	// Invalid states are rejected.
 	bad := map[string]HistogramState{
-		"zero geometry":       {},
-		"over-cap samples":    {Base: 100, Growth: 1.07, NBucket: 4, MaxKeep: 1, Samples: []int64{1, 2}},
-		"bucket out of range": {Base: 100, Growth: 1.07, NBucket: 4, MaxKeep: 8, Buckets: map[int]uint64{9: 1}},
+		"bucket out of range":   {Buckets: map[int]uint64{numBuckets: 1}, Acc: AccumulatorState{Count: 1}},
+		"negative bucket":       {Buckets: map[int]uint64{-1: 1}, Acc: AccumulatorState{Count: 1}},
+		"empty bucket entry":    {Buckets: map[int]uint64{5: 0}},
+		"counts exceed count":   {Buckets: map[int]uint64{5: 2, 9: 1}, Acc: AccumulatorState{Count: 2}},
+		"counts short of count": {Buckets: map[int]uint64{5: 1}, Acc: AccumulatorState{Count: 2}},
+		"negative count":        {Acc: AccumulatorState{Count: -1}},
+		// Counts whose sum wraps around uint64 to the sample count.
+		"overflowing counts": {Buckets: map[int]uint64{5: math.MaxUint64, 9: 2}, Acc: AccumulatorState{Count: 1}},
 	}
 	for name, st := range bad {
 		if err := DefaultLatencyHistogram().RestoreState(st); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzHistogramState feeds arbitrary JSON to RestoreState, the checkpoint's
+// histogram decoder: it must never panic, and every state it accepts must
+// export back to the same JSON bytes and answer percentile queries.
+func FuzzHistogramState(f *testing.F) {
+	h := DefaultLatencyHistogram()
+	for _, v := range []int64{3, 70, 1463, 900_000, 1 << 40} {
+		h.Observe(v)
+	}
+	seed, err := json.Marshal(h.State())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"buckets":{"3712":1},"acc":{"count":1}}`))
+	f.Add([]byte(`{"buckets":{"5":0,"6":1},"acc":{"count":1,"sum":6,"min":6,"max":6}}`))
+	f.Add([]byte(`{"buckets":{"5":18446744073709551615,"9":2},"acc":{"count":1}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st HistogramState
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		var h Histogram
+		if h.RestoreState(st) != nil {
+			return
+		}
+		want, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(h.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("accepted state re-marshals differently:\n in: %s\nout: %s", want, got)
+		}
+		for _, p := range []float64{0, 1, 50, 99, 100} {
+			h.Percentile(p)
+		}
+	})
 }
 
 // TestAccumulatorWelfordStateRoundTrip covers the two scalar accumulators'

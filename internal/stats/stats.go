@@ -7,7 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"time"
 )
 
@@ -108,79 +108,84 @@ func (a *LatencyAccumulator) Min() int64 { return a.min }
 // Max returns the largest sample, or 0 with no samples.
 func (a *LatencyAccumulator) Max() int64 { return a.max }
 
-// Histogram is a log-bucketed latency histogram. Buckets grow geometrically
-// from Base by Growth per bucket, which keeps memory constant regardless of
-// the latency range (nanoseconds to seconds).
+// Histogram is a log-bucketed latency histogram with a fixed geometry, in
+// the style of HdrHistogram and DDSketch. Samples below 64 ns get one exact
+// bucket each; above that every power of two splits into 64 sub-buckets,
+// indexed by the sample's bit length and its next six bits. Percentiles are
+// read from the bucket counts within 1/128 relative error at any run length,
+// while count, sum, mean, min and max stay exact. Merge is vector addition, so
+// a merged histogram equals one that observed every sample directly.
+//
+// The zero value is an empty histogram ready for use. Bucket storage grows on
+// demand, a whole octave at a time, up to the highest bucket observed.
 type Histogram struct {
-	base    float64
-	growth  float64
-	buckets []uint64
-	under   uint64 // samples below base
-	acc     LatencyAccumulator
-	samples []int64 // raw retention for exact percentiles, bounded
-	maxKeep int
+	counts []uint64
+	acc    LatencyAccumulator
 }
 
-// NewHistogram creates a histogram with the given base (smallest bucketed
-// value, ns), per-bucket growth factor (>1) and bucket count.
-func NewHistogram(base float64, growth float64, nbuckets int) *Histogram {
-	if base <= 0 {
-		base = 1
+const (
+	subBits    = 6
+	subBuckets = 1 << subBits // sub-buckets per octave; also the exact range
+	// numBuckets covers every non-negative int64: the exact buckets below
+	// 2^subBits, then one octave per bit length from subBits+1 to 63.
+	numBuckets = (64 - subBits) * subBuckets
+)
+
+// bucketIndex maps a sample to its bucket. Negative samples share bucket 0.
+func bucketIndex(ns int64) int {
+	if ns < subBuckets {
+		return int(max(ns, 0))
 	}
-	if growth <= 1 {
-		growth = 2
-	}
-	if nbuckets <= 0 {
-		nbuckets = 64
-	}
-	return &Histogram{
-		base:    base,
-		growth:  growth,
-		buckets: make([]uint64, nbuckets),
-		maxKeep: 1 << 16,
-	}
+	shift := bits.Len64(uint64(ns)) - subBits - 1
+	// ns>>shift is the sample's top subBits+1 bits, in [64, 128).
+	return shift<<subBits + int(ns>>shift)
 }
 
-// DefaultLatencyHistogram covers 100 ns .. ~1 s with ~7% resolution.
-func DefaultLatencyHistogram() *Histogram {
-	return NewHistogram(100, 1.07, 240)
+// bucketMid returns the midpoint of bucket i. Every sample in the bucket lies
+// within 1/128 of it, relative to the sample: a bucket's half-width is 2^-7 of
+// its lower bound.
+func bucketMid(i int) int64 {
+	if i < subBuckets {
+		return int64(i)
+	}
+	shift := i>>subBits - 1
+	lower := int64(i&(subBuckets-1)|subBuckets) << shift
+	return lower + int64(1)<<shift>>1
 }
+
+// DefaultLatencyHistogram returns an empty latency histogram.
+func DefaultLatencyHistogram() *Histogram { return new(Histogram) }
 
 // Observe records one sample in nanoseconds.
 func (h *Histogram) Observe(ns int64) {
 	h.acc.Observe(ns)
-	if len(h.samples) < h.maxKeep {
-		h.samples = append(h.samples, ns)
+	i := bucketIndex(ns)
+	if i >= len(h.counts) {
+		h.grow(i)
 	}
-	v := float64(ns)
-	if v < h.base {
-		h.under++
-		return
-	}
-	idx := int(math.Log(v/h.base) / math.Log(h.growth))
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx]++
+	h.counts[i]++
 }
 
-// Merge folds other into h. Both histograms must share bucket geometry
-// (base, growth, bucket count); Merge panics otherwise, since silently mixing
-// geometries would corrupt every percentile afterwards. The accumulator merge
-// is exact (integer sums and counts); retained raw samples are appended up to
-// h's retention cap, so merged percentiles carry the same reservoir caveat as
-// Observe — and a caller folding many histograms into one should first
-// SetRetention(sources * per-source cap) on the destination, otherwise the
-// cap fills from the first sources and later ones stop contributing to
-// percentiles. Merging per-shard histograms in a fixed order yields
-// deterministic aggregate summaries — the property the serving subsystem's
-// determinism contract leans on.
+// grow extends the bucket slice to cover index i, rounded up to a whole
+// octave so a rising tail reallocates at most once per doubling.
+func (h *Histogram) grow(i int) {
+	n := (i | (subBuckets - 1)) + 1
+	h.counts = append(h.counts, make([]uint64, n-len(h.counts))...)
+}
+
+// Merge folds other into h: bucket counts add, and the accumulator merge is
+// exact (integer sums and counts). Merging per-shard histograms therefore
+// gives the same aggregate in any order — the property the serving
+// subsystem's determinism contract leans on.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.acc.count == 0 {
 		return
 	}
-	if h.base != other.base || h.growth != other.growth || len(h.buckets) != len(other.buckets) {
-		panic("stats: merging histograms with different geometry")
+	if n := len(other.counts); n > len(h.counts) {
+		h.grow(n - 1)
+	}
+	for i, c := range other.counts {
+		h.counts[i] += c
 	}
 	if h.acc.count == 0 || other.acc.min < h.acc.min {
 		h.acc.min = other.acc.min
@@ -190,106 +195,54 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.acc.sum += other.acc.sum
 	h.acc.count += other.acc.count
-	h.under += other.under
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	if room := h.maxKeep - len(h.samples); room > 0 {
-		take := other.samples
-		if len(take) > room {
-			take = take[:room]
-		}
-		h.samples = append(h.samples, take...)
-	}
 }
 
-// SetRetention raises the raw-sample retention cap (default 65536). Call it
-// on a fresh histogram before observing or merging; it never drops samples
-// already retained.
-func (h *Histogram) SetRetention(n int) {
-	if n > h.maxKeep {
-		h.maxKeep = n
-	}
-}
+// SetRetention does nothing: the histogram keeps no raw samples. It remains
+// only because cmd/icgmm-bench, a separate module, still calls it.
+func (h *Histogram) SetRetention(int) {}
 
-// Reset empties the histogram while keeping its geometry, retention cap and
-// retained-sample capacity, so interval accumulators (the adaptive
-// controller's per-control-window histograms) can be reused without
-// reallocating.
+// Reset empties the histogram while keeping its bucket storage, so interval
+// accumulators (the adaptive controller's per-control-window histograms) can
+// be reused without reallocating.
 func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.under = 0
+	clear(h.counts)
 	h.acc = LatencyAccumulator{}
-	h.samples = h.samples[:0]
 }
 
 // Count returns the number of observed samples.
 func (h *Histogram) Count() int64 { return h.acc.Count() }
 
-// Sum returns the exact total of all observed samples in nanoseconds — an
-// O(1) accessor for callers that need aggregate means without the
-// percentile-sorting cost of Summarize.
+// Sum returns the exact total of all observed samples in nanoseconds.
 func (h *Histogram) Sum() int64 { return h.acc.Sum() }
 
 // Mean returns the mean of observed samples in nanoseconds.
 func (h *Histogram) Mean() float64 { return h.acc.Mean() }
 
-// Percentile returns the p-th percentile of the retained raw samples, with
-// linear interpolation between ranks. The edges are pinned: an empty
-// histogram returns 0, p <= 0 returns the minimum retained sample, p >= 100
-// the maximum, and a NaN p returns 0 (it is a caller bug, but an
-// unanswerable query must not panic the metrics path). Percentiles are exact
-// while the sample count is at or below the retention cap and an
-// approximation from the retained prefix beyond it (Count keeps the true
-// total either way).
+// Percentile returns the p-th percentile by nearest rank: the midpoint of the
+// bucket holding the ceil(p/100 × count)-th smallest sample, clamped to the
+// exact [min, max]. It lies within 1/128 relative error of the exact
+// nearest-rank sample. The edges are pinned: an empty histogram returns 0,
+// p <= 0 returns the minimum, p >= 100 the maximum, and a NaN p returns 0 (it
+// is a caller bug, but an unanswerable query must not panic the metrics
+// path).
 func (h *Histogram) Percentile(p float64) int64 {
-	if len(h.samples) == 0 || math.IsNaN(p) {
+	switch {
+	case h.acc.count == 0 || math.IsNaN(p):
 		return 0
+	case p <= 0:
+		return h.acc.min
+	case p >= 100:
+		return h.acc.max
 	}
-	s := make([]int64, len(h.samples))
-	copy(s, h.samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return int64(float64(s[lo])*(1-frac) + float64(s[hi])*frac)
-}
-
-// BucketBounds returns the lower bound of bucket i in nanoseconds.
-func (h *Histogram) BucketBounds(i int) float64 {
-	return h.base * math.Pow(h.growth, float64(i))
-}
-
-// NonEmptyBuckets returns (lowerBoundNs, count) pairs for buckets with data.
-func (h *Histogram) NonEmptyBuckets() []BucketCount {
-	var out []BucketCount
-	if h.under > 0 {
-		out = append(out, BucketCount{Lower: 0, Count: h.under})
-	}
-	for i, c := range h.buckets {
-		if c > 0 {
-			out = append(out, BucketCount{Lower: h.BucketBounds(i), Count: c})
+	rank := uint64(math.Ceil(p / 100 * float64(h.acc.count)))
+	var seen uint64
+	for i, c := range h.counts {
+		seen += c
+		if seen >= rank {
+			return min(max(bucketMid(i), h.acc.min), h.acc.max)
 		}
 	}
-	return out
-}
-
-// BucketCount is one (lower bound, count) histogram entry.
-type BucketCount struct {
-	Lower float64
-	Count uint64
+	return h.acc.max
 }
 
 // Summary is a compact snapshot of a latency distribution.

@@ -99,18 +99,44 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
+// TestHistogramBuckets pins the bucket geometry: samples below 128 ns are
+// exact, buckets are contiguous and monotone in the sample, every sample lies
+// within 1/128 of its bucket's midpoint, the largest int64 lands in the last
+// bucket, and storage grows lazily in whole octaves.
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(100, 2, 10)
-	h.Observe(50)   // under base
-	h.Observe(150)  // bucket 0 [100, 200)
-	h.Observe(300)  // bucket 1 [200, 400)
-	h.Observe(1e12) // clamps to last bucket
-	bs := h.NonEmptyBuckets()
-	if len(bs) != 4 {
-		t.Fatalf("NonEmptyBuckets = %d entries, want 4: %+v", len(bs), bs)
+	for ns := int64(0); ns < 2*subBuckets; ns++ {
+		if bucketIndex(ns) != int(ns) || bucketMid(int(ns)) != ns {
+			t.Fatalf("sample %d: bucket %d, midpoint %d; want exact", ns, bucketIndex(ns), bucketMid(int(ns)))
+		}
 	}
-	if bs[0].Lower != 0 || bs[0].Count != 1 {
-		t.Errorf("under-bucket = %+v", bs[0])
+	if got := bucketIndex(math.MaxInt64); got != numBuckets-1 {
+		t.Fatalf("MaxInt64 lands in bucket %d, want %d", got, numBuckets-1)
+	}
+	for i := 1; i < numBuckets; i++ {
+		if mid := bucketMid(i); bucketIndex(mid) != i || mid <= bucketMid(i-1) {
+			t.Fatalf("bucket %d: midpoint %d maps to bucket %d (previous midpoint %d)", i, mid, bucketIndex(mid), bucketMid(i-1))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 100_000; k++ {
+		v := rng.Int63n(1 << uint(rng.Intn(63)))
+		i := bucketIndex(v)
+		if off := math.Abs(float64(bucketMid(i) - v)); off > float64(v)/128 {
+			t.Fatalf("sample %d: midpoint %d of bucket %d is off by more than 1/128", v, bucketMid(i), i)
+		}
+		if j := bucketIndex(v + 1); j != i && j != i+1 {
+			t.Fatalf("samples %d and %d land in buckets %d and %d: not contiguous", v, v+1, i, j)
+		}
+	}
+
+	h := DefaultLatencyHistogram()
+	if h.counts != nil {
+		t.Fatal("a new histogram allocated bucket storage before its first sample")
+	}
+	h.Observe(1000) // bucket 317, in the octave of buckets [256, 320)
+	h.Observe(10)
+	if len(h.counts) != 320 {
+		t.Fatalf("bucket storage = %d after samples up to bucket 317, want 320", len(h.counts))
 	}
 }
 
@@ -132,11 +158,21 @@ func TestHistogramSummary(t *testing.T) {
 	}
 }
 
+// TestHistogramDefensiveConstruction: the zero value is a usable histogram,
+// and a negative sample shares bucket 0 while the exact accumulator and the
+// [min, max] clamp keep every reported value inside the observed range.
 func TestHistogramDefensiveConstruction(t *testing.T) {
-	h := NewHistogram(-5, 0.5, -1)
+	var h Histogram
 	h.Observe(10)
-	if h.Count() != 1 {
-		t.Error("histogram with corrected params should still work")
+	h.Observe(-40)
+	if h.Count() != 2 || h.Sum() != -30 {
+		t.Fatalf("count/sum = %d/%d, want 2/-30", h.Count(), h.Sum())
+	}
+	if h.Percentile(0) != -40 || h.Percentile(100) != 10 {
+		t.Fatalf("p0/p100 = %d/%d, want -40/10", h.Percentile(0), h.Percentile(100))
+	}
+	if got := h.Percentile(50); got < -40 || got > 10 {
+		t.Fatalf("p50 = %d outside the observed range [-40, 10]", got)
 	}
 }
 
@@ -234,15 +270,15 @@ func TestWelfordSingleSample(t *testing.T) {
 }
 
 func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(100, 2, 16)
-	b := NewHistogram(100, 2, 16)
+	a := DefaultLatencyHistogram()
+	b := DefaultLatencyHistogram()
 	for _, v := range []int64{50, 150, 400} {
 		a.Observe(v)
 	}
 	for _, v := range []int64{25, 1000, 3000} {
 		b.Observe(v)
 	}
-	want := NewHistogram(100, 2, 16)
+	want := DefaultLatencyHistogram()
 	for _, v := range []int64{50, 150, 400, 25, 1000, 3000} {
 		want.Observe(v)
 	}
@@ -256,7 +292,7 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	// Merging an empty histogram is a no-op.
 	before := a.Summarize()
-	a.Merge(NewHistogram(100, 2, 16))
+	a.Merge(DefaultLatencyHistogram())
 	a.Merge(nil)
 	if a.Summarize() != before {
 		t.Fatal("merging empty histogram changed the summary")
@@ -264,8 +300,8 @@ func TestHistogramMerge(t *testing.T) {
 }
 
 func TestHistogramMergeIntoEmpty(t *testing.T) {
-	a := NewHistogram(100, 2, 16)
-	b := NewHistogram(100, 2, 16)
+	a := DefaultLatencyHistogram()
+	b := DefaultLatencyHistogram()
 	b.Observe(500)
 	b.Observe(200)
 	a.Merge(b)
@@ -274,48 +310,10 @@ func TestHistogramMergeIntoEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeRetention(t *testing.T) {
-	// Without raised retention, a full first source crowds later sources out
-	// of the percentile reservoir; SetRetention makes room for all of them.
-	big := NewHistogram(100, 2, 16)
-	for i := 0; i < 1<<16; i++ {
-		big.Observe(100)
-	}
-	small := NewHistogram(100, 2, 16)
-	small.Observe(10_000)
-
-	crowded := NewHistogram(100, 2, 16)
-	crowded.Merge(big)
-	crowded.Merge(small)
-	if got := crowded.Percentile(100); got != 100 {
-		t.Fatalf("default retention: max retained sample = %d, expected later source crowded out", got)
-	}
-
-	roomy := NewHistogram(100, 2, 16)
-	roomy.SetRetention(2 << 16)
-	roomy.Merge(big)
-	roomy.Merge(small)
-	if got := roomy.Percentile(100); got != 10_000 {
-		t.Fatalf("raised retention: max retained sample = %d, want 10000", got)
-	}
-}
-
-func TestHistogramMergeGeometryMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("geometry mismatch did not panic")
-		}
-	}()
-	a := NewHistogram(100, 2, 16)
-	b := NewHistogram(10, 2, 16)
-	b.Observe(500)
-	a.Merge(b)
-}
-
 // TestHistogramPercentileEdgeCases pins the percentile contract at and
 // around its edges: empty histograms, a single sample, the q=1.0 boundary
-// and beyond, non-finite quantiles (a NaN p used to panic with an index
-// derived from int(NaN)), and merges where one side is empty.
+// and beyond, non-finite quantiles (a NaN p must return 0, not panic), and
+// merges where one side is empty.
 func TestHistogramPercentileEdgeCases(t *testing.T) {
 	t.Parallel()
 	t.Run("empty", func(t *testing.T) {
@@ -353,7 +351,7 @@ func TestHistogramPercentileEdgeCases(t *testing.T) {
 			{1000, 1000}, // clamped above
 			{math.Inf(1), 1000},
 			{math.Inf(-1), 10},
-			{50, 505}, // interpolated between ranks 49 and 50 (500, 510)
+			{50, 502}, // nearest rank 50 is 500: the midpoint of its bucket [500, 504)
 		}
 		for _, c := range cases {
 			if got := h.Percentile(c.p); got != c.want {
@@ -400,36 +398,28 @@ func TestHistogramPercentileEdgeCases(t *testing.T) {
 	})
 }
 
-// TestHistogramRetentionBoundary pins behavior at and beyond the exact-
-// retention cap: percentiles are exact up to maxKeep samples, the cap is hit
-// without an off-by-one, and past it Count keeps the true total while
-// percentiles answer from the retained prefix.
-func TestHistogramRetentionBoundary(t *testing.T) {
+// TestHistogramLongRunTail is the long-run regression test: percentiles
+// describe the whole run, not its start. 700,000 samples at 1 µs followed by
+// 20,000 at 1 ms put the p99 in the late tail, which a histogram keeping only
+// its first 65,536 samples reported as 1 µs.
+func TestHistogramLongRunTail(t *testing.T) {
 	t.Parallel()
-	h := NewHistogram(100, 1.07, 240)
-	h.maxKeep = 16 // shrink the cap; SetRetention can only raise it
-	for i := int64(1); i <= 16; i++ {
-		h.Observe(i * 100)
+	var h Histogram
+	for i := 0; i < 700_000; i++ {
+		h.Observe(1_000)
 	}
-	if len(h.samples) != 16 {
-		t.Fatalf("retained %d of 16 samples at the boundary", len(h.samples))
+	for i := 0; i < 20_000; i++ {
+		h.Observe(1_000_000)
 	}
-	if got := h.Percentile(100); got != 1600 {
-		t.Fatalf("exact p100 at the boundary = %d, want 1600", got)
+	for _, c := range []struct {
+		p    float64
+		want int64
+	}{{50, 1_000}, {99, 1_000_000}} {
+		if got := h.Percentile(c.p); math.Abs(float64(got-c.want)) > float64(c.want)/128 {
+			t.Errorf("p%v = %d, want %d within 1/128", c.p, got, c.want)
+		}
 	}
-	// Beyond the cap: counts stay true, retained samples freeze.
-	h.Observe(5000)
-	h.Observe(6000)
-	if h.Count() != 18 || h.acc.Max() != 6000 {
-		t.Fatalf("count/max = %d/%d, want 18/6000", h.Count(), h.acc.Max())
-	}
-	if len(h.samples) != 16 {
-		t.Fatalf("retention cap overflowed to %d samples", len(h.samples))
-	}
-	if got := h.Percentile(100); got != 1600 {
-		t.Fatalf("p100 beyond the cap = %d, want 1600 (answered from the retained prefix)", got)
-	}
-	if got := h.Summarize().Max; got != 6000*time.Nanosecond {
-		t.Fatalf("Summary.Max = %v, want 6us (accumulator, not reservoir)", got)
+	if h.Count() != 720_000 || h.Summarize().Max != time.Millisecond {
+		t.Errorf("count/max = %d/%v, want 720000/1ms", h.Count(), h.Summarize().Max)
 	}
 }
