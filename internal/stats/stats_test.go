@@ -310,6 +310,33 @@ func TestHistogramMergeIntoEmpty(t *testing.T) {
 	}
 }
 
+// TestHistogramMergeRetention: a first source past the 65,536 samples a
+// retained-sample histogram kept must not crowd a later source out of the
+// percentiles, with or without SetRetention, which no longer changes anything.
+func TestHistogramMergeRetention(t *testing.T) {
+	big := DefaultLatencyHistogram()
+	for i := 0; i < 1<<16+1000; i++ {
+		big.Observe(100)
+	}
+	small := DefaultLatencyHistogram()
+	small.Observe(10_000)
+
+	for _, retention := range []int{0, 2 << 16} {
+		agg := DefaultLatencyHistogram()
+		if retention > 0 {
+			agg.SetRetention(retention)
+		}
+		agg.Merge(big)
+		agg.Merge(small)
+		if got := agg.Percentile(100); got != 10_000 {
+			t.Fatalf("retention %d: max after merging a small source behind a big one = %d, want 10000", retention, got)
+		}
+		if agg.Count() != 1<<16+1001 {
+			t.Fatalf("retention %d: count = %d, want %d", retention, agg.Count(), 1<<16+1001)
+		}
+	}
+}
+
 // TestHistogramPercentileEdgeCases pins the percentile contract at and
 // around its edges: empty histograms, a single sample, the q=1.0 boundary
 // and beyond, non-finite quantiles (a NaN p must return 0, not panic), and
