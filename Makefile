@@ -14,11 +14,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmark smoke: one iteration of every benchmark in the root harness and
-# the serving subsystem, enough to catch bit-rot without waiting for stable
-# numbers.
+# Benchmark smoke: one iteration of every benchmark in the root harness, the
+# serving subsystem and the GMM scoring kernels (including the fitted-model
+# ones), enough to catch bit-rot without waiting for stable numbers.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/serve
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/serve ./internal/gmm
 
 # Machine-readable benchmarks: run the root and serving benchmarks with
 # -benchmem, keep the raw text for benchstat (BENCH_<date>.txt) and render a
@@ -129,7 +129,7 @@ test-scenario:
 
 # Ratcheted coverage floors for the packages the test subsystem hardens.
 # Raise a floor when coverage grows; never lower one.
-COVER_FLOORS := ./internal/serve:91 ./internal/stats:95 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:95
+COVER_FLOORS := ./internal/gmm:90 ./internal/serve:91 ./internal/stats:95 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:95
 cover:
 	@fail=0; \
 	for spec in $(COVER_FLOORS); do \
@@ -148,9 +148,10 @@ cover:
 # Fuzz smoke: 20 seconds per target against the trace CSV parser, the
 # -tenants JSON spec parser, the declarative run-spec wire format, the spec's
 # device-timing block, the scenario/clients/shadow blocks, the Q16.16
-# quantizer's batch/scalar parity contract, and the checkpoint's histogram
-# state decoder. -run='^$$' skips the unit tests so the time budget goes
-# entirely to fuzzing.
+# quantizer's batch/scalar parity contract, the sparse log-sum-exp's
+# bit-identity with the dense sum, and the checkpoint's histogram state
+# decoder. -run='^$$' skips the unit tests so the time budget goes entirely
+# to fuzzing.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzParseRecord -fuzztime=20s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzTenantSpec -fuzztime=20s
@@ -158,6 +159,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDeviceSpec -fuzztime=20s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=20s
 	$(GO) test ./internal/gmm -run='^$$' -fuzz=FuzzQuantizeRoundTrip -fuzztime=20s
+	$(GO) test ./internal/gmm -run='^$$' -fuzz=FuzzLogSumExp -fuzztime=20s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzHistogramState -fuzztime=20s
 
 fmt:

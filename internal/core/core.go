@@ -298,8 +298,9 @@ func (tg *TrainedGMM) PrescoreTrace(tr trace.Trace) []float64 {
 		pages[i], times[i] = tg.Norm.ApplyPageTime(rec.Page(), tt.Next())
 	}
 	scores := make([]float64, len(tr))
-	if bs, ok := tg.Scorer().(policy.BatchScorer); ok {
-		bs.ScorePageTimeBatch(pages, times, scores)
+	if bs, ok := tg.Scorer().(policy.ScratchBatchScorer); ok {
+		var scratch gmm.Scratch
+		bs.ScorePageTimeBatchScratch(pages, times, scores, &scratch)
 	} else {
 		s := tg.Scorer()
 		for i := range scores {

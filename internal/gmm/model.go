@@ -116,7 +116,8 @@ func (m *Model) ScorePageTime(page, timestamp float64) float64 {
 }
 
 // LogScore evaluates log G(x) in the log domain via log-sum-exp, which stays
-// finite even when every component density underflows float64.
+// finite even when every component density underflows float64. The sum
+// skips only the negligible terms, so it has the bits of the dense sum.
 func (m *Model) LogScore(x linalg.Vec2) float64 {
 	maxLog := math.Inf(-1)
 	for i := range m.Components {
@@ -129,7 +130,9 @@ func (m *Model) LogScore(x linalg.Vec2) float64 {
 	}
 	sum := 0.0
 	for i := range m.Components {
-		sum += math.Exp(m.Components[i].LogDensity(x) - maxLog)
+		if d := m.Components[i].LogDensity(x) - maxLog; !negligible(d, sum) {
+			sum += math.Exp(d)
+		}
 	}
 	return maxLog + math.Log(sum)
 }

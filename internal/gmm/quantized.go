@@ -22,8 +22,8 @@ type QuantizedModel struct {
 	// dq is the dequantized SoA scoring bundle (fromQ of every constant,
 	// precision entries still carrying the folded -1/2), built by Quantize so
 	// the batch kernels never convert per point. Models assembled by hand
-	// rather than through Quantize leave it empty; the batch entry points
-	// fall back to per-point scoring then.
+	// rather than through Quantize leave it empty; the batch entry point
+	// falls back to per-point scoring then.
 	dq soa
 }
 
@@ -119,6 +119,7 @@ func Quantize(m *Model) (*QuantizedModel, QuantReport) {
 func (q *QuantizedModel) rebuildDQ() {
 	k := q.K()
 	q.dq.resize(k)
+	q.dq.density = linalg.FoldedLogDensityBatch
 	for i := 0; i < k; i++ {
 		q.dq.meanX[i], q.dq.meanY[i] = fromQ(q.MeanX[i]), fromQ(q.MeanY[i])
 		q.dq.pxx[i], q.dq.pxy[i], q.dq.pyy[i] = fromQ(q.PrecXX[i]), fromQ(q.PrecXY[i]), fromQ(q.PrecYY[i])
@@ -142,8 +143,8 @@ func (q *QuantizedModel) logDensity(i int, x, y float64) float64 {
 // LogScore evaluates the mixture log-density using only the quantized
 // constants and float64 exp/log for the transcendental steps, emulating the
 // PE datapath (per-Gaussian multiply-adds on fixed-point weights). Two
-// passes — max, then sum — so it allocates nothing, like the float model's
-// LogScore.
+// passes — max, then a sum that skips only negligible terms — so it
+// allocates nothing, like the float model's LogScore.
 func (q *QuantizedModel) LogScore(x linalg.Vec2) float64 {
 	maxLog := math.Inf(-1)
 	for i := 0; i < q.K(); i++ {
@@ -156,7 +157,9 @@ func (q *QuantizedModel) LogScore(x linalg.Vec2) float64 {
 	}
 	sum := 0.0
 	for i := 0; i < q.K(); i++ {
-		sum += math.Exp(q.logDensity(i, x.X, x.Y) - maxLog)
+		if d := q.logDensity(i, x.X, x.Y) - maxLog; !negligible(d, sum) {
+			sum += math.Exp(d)
+		}
 	}
 	return maxLog + math.Log(sum)
 }
@@ -171,46 +174,11 @@ func (q *QuantizedModel) ScorePageTime(page, timestamp float64) float64 {
 	return q.Score(linalg.V2(page, timestamp))
 }
 
-// logScoreBlock scores one block of at most scoreBlock points through the
-// dequantized SoA bundle: per-component fused folded-exponent sweeps, then
-// the same max-then-sum log-sum-exp as LogScore per point.
-func (q *QuantizedModel) logScoreBlock(dst, xs, ys, ld []float64) {
-	k := q.K()
-	n := len(xs)
-	for c := 0; c < k; c++ {
-		linalg.FoldedLogDensityBatch(ld[c*scoreBlock:c*scoreBlock+n], xs, ys,
-			q.dq.meanX[c], q.dq.meanY[c],
-			q.dq.pxx[c], q.dq.pxy[c], q.dq.pyy[c], q.dq.logCoef[c])
-	}
-	for i := 0; i < n; i++ {
-		maxLog := math.Inf(-1)
-		for c := 0; c < k; c++ {
-			if v := ld[c*scoreBlock+i]; v > maxLog {
-				maxLog = v
-			}
-		}
-		if math.IsInf(maxLog, -1) {
-			dst[i] = maxLog
-			continue
-		}
-		sum := 0.0
-		for c := 0; c < k; c++ {
-			sum += math.Exp(ld[c*scoreBlock+i] - maxLog)
-		}
-		dst[i] = maxLog + math.Log(sum)
-	}
-}
-
 // ScorePageTimeBatchScratch fills dst with the quantized mixture density at
 // each (page, timestamp) pair through the caller-owned scratch, bit-identical
 // to per-point ScorePageTime. It is the zero-allocation batch form the
 // serving path threads per-partition scratch through.
 func (q *QuantizedModel) ScorePageTimeBatchScratch(pages, times, dst []float64, s *Scratch) {
-	if len(pages) == 0 {
-		return
-	}
-	_ = dst[len(pages)-1]
-	_ = times[len(pages)-1]
 	if len(q.dq.logCoef) != q.K() {
 		// Hand-assembled model without the Quantize-built bundle: score
 		// per point rather than racing a lazy rebuild.
@@ -219,26 +187,7 @@ func (q *QuantizedModel) ScorePageTimeBatchScratch(pages, times, dst []float64, 
 		}
 		return
 	}
-	ld := s.block(q.K())
-	for start := 0; start < len(pages); start += scoreBlock {
-		end := start + scoreBlock
-		if end > len(pages) {
-			end = len(pages)
-		}
-		out := dst[start:end]
-		q.logScoreBlock(out, pages[start:end], times[start:end], ld)
-		for i := range out {
-			out[i] = math.Exp(out[i])
-		}
-	}
-}
-
-// ScorePageTimeBatch is the pooled-scratch batch form; it implements the
-// policy package's BatchScorer interface for the quantized datapath.
-func (q *QuantizedModel) ScorePageTimeBatch(pages, times, dst []float64) {
-	s := scratchPool.Get().(*Scratch)
-	q.ScorePageTimeBatchScratch(pages, times, dst, s)
-	scratchPool.Put(s)
+	q.dq.scorePageTimes(pages, times, dst, s)
 }
 
 // WeightBufferBytes returns the on-chip storage the quantized model needs:

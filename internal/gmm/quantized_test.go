@@ -87,14 +87,6 @@ func TestQuantizedBatchMatchesScalar(t *testing.T) {
 			t.Fatalf("point %d: batch %v != scalar %v (must be bit-identical)", i, dst[i], want)
 		}
 	}
-	// The pooled entry point goes through the same kernel.
-	dst2 := make([]float64, n)
-	q.ScorePageTimeBatch(pages, times, dst2)
-	for i := range dst {
-		if dst[i] != dst2[i] {
-			t.Fatalf("point %d: pooled %v != scratch %v", i, dst2[i], dst[i])
-		}
-	}
 }
 
 // TestQuantizedHandAssembledFallback: a QuantizedModel built field by field
@@ -110,7 +102,8 @@ func TestQuantizedHandAssembledFallback(t *testing.T) {
 	pages := []float64{0.5, 0.7, 0.1}
 	times := []float64{0.5, 0.2, 0.9}
 	dst := make([]float64, 3)
-	q.ScorePageTimeBatch(pages, times, dst)
+	var s Scratch
+	q.ScorePageTimeBatchScratch(pages, times, dst, &s)
 	for i := range pages {
 		if want := q.ScorePageTime(pages[i], times[i]); dst[i] != want {
 			t.Fatalf("point %d: fallback batch %v != scalar %v", i, dst[i], want)
@@ -145,8 +138,7 @@ func TestQuantizeZeroWeightComponent(t *testing.T) {
 }
 
 // TestQuantizedScoreAllocs pins the quantized scoring paths at zero
-// allocations: scalar, scratch-threaded batch, and the pooled batch at steady
-// state.
+// allocations: scalar, and the scratch-threaded batch at steady state.
 func TestQuantizedScoreAllocs(t *testing.T) {
 	m := batchTestModel(t, 32)
 	q, _ := Quantize(m)
@@ -165,9 +157,6 @@ func TestQuantizedScoreAllocs(t *testing.T) {
 	q.ScorePageTimeBatchScratch(pages, times, dst, &s) // grow the scratch once
 	if a := testing.AllocsPerRun(20, func() { q.ScorePageTimeBatchScratch(pages, times, dst, &s) }); a != 0 {
 		t.Errorf("ScorePageTimeBatchScratch allocates %v per run at steady state", a)
-	}
-	if a := testing.AllocsPerRun(20, func() { q.ScorePageTimeBatch(pages, times, dst) }); a != 0 {
-		t.Errorf("pooled ScorePageTimeBatch allocates %v per run at steady state", a)
 	}
 }
 

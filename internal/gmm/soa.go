@@ -1,6 +1,6 @@
 package gmm
 
-import "sync"
+import "repro/internal/linalg"
 
 // soa is the packed structure-of-arrays view of a prepared model: six
 // parallel slices, one entry per component, holding exactly the constants
@@ -13,6 +13,12 @@ type soa struct {
 	meanX, meanY  []float64
 	pxx, pxy, pyy []float64
 	logCoef       []float64
+
+	// density turns the constants into log-densities:
+	// linalg.LogDensityBatch for a float model's bundle,
+	// linalg.FoldedLogDensityBatch for a quantized one's, whose precision
+	// entries carry the folded -1/2.
+	density func(dst, xs, ys []float64, muX, muY, pxx, pxy, pyy, logCoef float64)
 }
 
 // resize makes every slice exactly k long, reusing capacity.
@@ -34,6 +40,7 @@ func (s *soa) resize(k int) {
 // it, so the bundle is always in sync with the AoS truth.
 func (m *Model) rebuildSOA() {
 	m.soa.resize(len(m.Components))
+	m.soa.density = linalg.LogDensityBatch
 	for i := range m.Components {
 		c := &m.Components[i]
 		m.soa.meanX[i], m.soa.meanY[i] = c.Mean.X, c.Mean.Y
@@ -43,16 +50,15 @@ func (m *Model) rebuildSOA() {
 }
 
 // Scratch is caller-owned scoring scratch for the batch kernels: the
-// component-major block buffer (K·scoreBlock floats) plus staging for Vec2
-// input. The zero value is ready to use and grows on demand; after the first
-// call at a given K, scoring through it allocates nothing.
+// component-major block buffer, K·scoreBlock floats. The zero value is ready
+// to use and grows on demand; after the first call at a given K, scoring
+// through it allocates nothing.
 //
 // A Scratch may not be shared by concurrent callers — the serving path keeps
 // one per partition, since partitions are drained on independent shard
 // goroutines against the same shared model.
 type Scratch struct {
-	ld     []float64 // ld[c*scoreBlock+i]: component c's log-density at block point i
-	bx, by []float64 // block coordinate staging for Vec2 input
+	ld []float64 // ld[c*scoreBlock+i]: component c's log-density at block point i
 }
 
 // block returns the K-component block buffer, growing it if needed.
@@ -62,17 +68,3 @@ func (s *Scratch) block(k int) []float64 {
 	}
 	return s.ld[:k*scoreBlock]
 }
-
-// stage returns the two scoreBlock-long coordinate staging buffers.
-func (s *Scratch) stage() (bx, by []float64) {
-	if cap(s.bx) < scoreBlock {
-		s.bx = make([]float64, scoreBlock)
-		s.by = make([]float64, scoreBlock)
-	}
-	return s.bx[:scoreBlock], s.by[:scoreBlock]
-}
-
-// scratchPool backs the scratch-less batch entry points so compatibility
-// callers (offline replay prescoring, threshold calibration) stay
-// allocation-free at steady state without threading a Scratch themselves.
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

@@ -16,38 +16,31 @@ type Scorer interface {
 	ScorePageTime(page, timestamp float64) float64
 }
 
-// BatchScorer is implemented by scorers that can evaluate blocks of points
-// in one call (gmm.Model and gmm.QuantizedModel do, through linalg block
-// kernels). Batched and per-call scoring must be bit-identical so callers
-// may use either path without perturbing simulation results.
-type BatchScorer interface {
-	Scorer
-	// ScorePageTimeBatch fills dst[i] with the score at (pages[i], times[i]).
-	ScorePageTimeBatch(pages, times, dst []float64)
-}
-
-// ScratchBatchScorer is the zero-allocation refinement of BatchScorer:
-// scoring happens through caller-owned gmm.Scratch, so a caller that keeps
-// one scratch per concurrent scoring context (the serving path keeps one per
-// partition) allocates nothing at steady state. The scratch variant must be
-// bit-identical to the other scoring paths.
+// ScratchBatchScorer is implemented by scorers that can evaluate blocks of
+// points in one call through caller-owned gmm.Scratch (gmm.Model and
+// gmm.QuantizedModel do), so a caller that keeps one scratch per concurrent
+// scoring context (the serving path keeps one per partition) allocates
+// nothing at steady state. Batched and per-call scoring must be
+// bit-identical so callers may use either path without perturbing
+// simulation results.
 type ScratchBatchScorer interface {
-	BatchScorer
-	// ScorePageTimeBatchScratch is ScorePageTimeBatch through s; s may not
-	// be shared by concurrent callers.
+	Scorer
+	// ScorePageTimeBatchScratch fills dst[i] with the score at (pages[i],
+	// times[i]) through s; s may not be shared by concurrent callers.
 	ScorePageTimeBatchScratch(pages, times, dst []float64, s *gmm.Scratch)
 }
 
 // ScoreSamples evaluates the scorer over normalized samples, using the
 // batch path when the scorer provides one.
 func ScoreSamples(s Scorer, samples []trace.Sample, dst []float64) {
-	if bs, ok := s.(BatchScorer); ok {
+	if bs, ok := s.(ScratchBatchScorer); ok {
 		pages := make([]float64, len(samples))
 		times := make([]float64, len(samples))
 		for i, sm := range samples {
 			pages[i], times[i] = sm.Page, sm.Timestamp
 		}
-		bs.ScorePageTimeBatch(pages, times, dst)
+		var scratch gmm.Scratch
+		bs.ScorePageTimeBatchScratch(pages, times, dst, &scratch)
 		return
 	}
 	for i, sm := range samples {

@@ -764,20 +764,16 @@ func (p *partition) drainBatch(b *Bundle) {
 	p.queue = p.queue[:0]
 }
 
-// scoreBatch dispatches one batched scoring call through the fastest
-// interface the scorer offers: scratch-threaded (zero steady-state
-// allocations — both gmm.Model and gmm.QuantizedModel land here), plain
-// batched, or a scalar fallback for minimal test scorers.
+// scoreBatch dispatches one batched scoring call: scratch-threaded (zero
+// steady-state allocations — both gmm.Model and gmm.QuantizedModel land
+// here), or a scalar fallback for minimal test scorers.
 func scoreBatch(sc policy.Scorer, pages, times, scores []float64, s *gmm.Scratch) {
-	switch bs := sc.(type) {
-	case policy.ScratchBatchScorer:
+	if bs, ok := sc.(policy.ScratchBatchScorer); ok {
 		bs.ScorePageTimeBatchScratch(pages, times, scores, s)
-	case policy.BatchScorer:
-		bs.ScorePageTimeBatch(pages, times, scores)
-	default:
-		for i := range scores {
-			scores[i] = sc.ScorePageTime(pages[i], times[i])
-		}
+		return
+	}
+	for i := range scores {
+		scores[i] = sc.ScorePageTime(pages[i], times[i])
 	}
 }
 
