@@ -50,7 +50,7 @@ serve-smoke:
 # 3-tenant icgmm-serve smoke (per-tenant QoS, capacity shares, adaptive
 # controller) under the race detector.
 test-tenants:
-	$(GO) test ./internal/serve -run 'Tenant|Golden|ValidateWarmup|ParseTenantSpecs' -race
+	$(GO) test ./internal/serve -run 'Tenant|Golden|ValidateWarmup' -race
 	$(GO) test ./internal/workload -run 'Mux' -race
 	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-tenants.json \
 		-out /dev/null
@@ -129,7 +129,7 @@ test-scenario:
 
 # Ratcheted coverage floors for the packages the test subsystem hardens.
 # Raise a floor when coverage grows; never lower one.
-COVER_FLOORS := ./internal/gmm:90 ./internal/serve:91 ./internal/stats:95 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:95
+COVER_FLOORS := ./internal/gmm:90 ./internal/serve:91 ./internal/stats:95 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:95 ./internal/linalg:96 ./internal/policy:86
 cover:
 	@fail=0; \
 	for spec in $(COVER_FLOORS); do \
@@ -146,12 +146,13 @@ cover:
 	rm -f cover.tmp.out cover.tmp.log; exit $$fail
 
 # Fuzz smoke: 20 seconds per target against the trace CSV parser, the
-# -tenants JSON spec parser, the declarative run-spec wire format, the spec's
+# spec's tenant list, the declarative run-spec wire format, the spec's
 # device-timing block, the scenario/clients/shadow blocks, the Q16.16
 # quantizer's batch/scalar parity contract, the sparse log-sum-exp's
-# bit-identity with the dense sum, and the checkpoint's histogram state
-# decoder. -run='^$$' skips the unit tests so the time budget goes entirely
-# to fuzzing.
+# bit-identity with the dense sum, the candidate-grid kernel's bit-identity
+# with the dense sum over every component, and the checkpoint's histogram
+# state decoder. -run='^$$' skips the unit tests so the time budget goes
+# entirely to fuzzing.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzParseRecord -fuzztime=20s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzTenantSpec -fuzztime=20s
@@ -160,6 +161,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=20s
 	$(GO) test ./internal/gmm -run='^$$' -fuzz=FuzzQuantizeRoundTrip -fuzztime=20s
 	$(GO) test ./internal/gmm -run='^$$' -fuzz=FuzzLogSumExp -fuzztime=20s
+	$(GO) test ./internal/gmm -run='^$$' -fuzz=FuzzCandidateScore -fuzztime=20s
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzHistogramState -fuzztime=20s
 
 fmt:

@@ -15,10 +15,9 @@
 // overrides: where the metrics go and how wide the (result-invariant)
 // worker pool is.
 //
-// The legacy per-parameter flag interface was removed in PR 6 after a
-// release of -spec soak time; invoking a removed flag names the spec field
-// that replaced it. The README's "Migrating from flags to -spec" note has
-// the history.
+// The legacy per-parameter flag interface is gone; a retired flag fails as
+// an unknown flag. The README's "Migrating from flags to -spec" note maps
+// each one to the spec field that replaced it.
 //
 // The service first trains an initial GMM on a warm-up trace from the same
 // generator, then serves the configured requests (or ingests until the
@@ -51,51 +50,9 @@ func main() {
 	}
 }
 
-// removedFlags maps every legacy flag retired in PR 6 to the spec field
-// that replaced it, so an old invocation fails with a pointer at its exact
-// migration instead of a generic parse error.
-var removedFlags = map[string]string{
-	"partitions":       "partitions",
-	"ops":              "ops",
-	"duration":         "duration",
-	"workload":         "workload.name",
-	"seed":             "train.seed (and workload.seed / tenants[i].seed)",
-	"rate":             "workload.rate",
-	"burst":            "workload.burst",
-	"drift":            "workload.drift",
-	"refresh":          "refresh.mode",
-	"refresh-window":   "refresh.window",
-	"refresh-min":      "refresh.min",
-	"drift-delta":      "refresh.drift_delta",
-	"drift-sustain":    "refresh.drift_sustain",
-	"drift-warmup":     "refresh.drift_warmup",
-	"drift-alpha":      "refresh.drift_alpha",
-	"warmup":           "warmup",
-	"cache-mb":         "cache.size_mb",
-	"ways":             "cache.ways",
-	"k":                "train.k",
-	"window":           "train.window",
-	"shot":             "train.shot",
-	"batch":            "batch",
-	"report":           "report",
-	"tenants":          "tenants",
-	"control-every":    "control.every",
-	"control-step":     "control.step",
-	"control-min-mult": "control.min_mult",
-	"control-max-mult": "control.max_mult",
-	"share-adapt":      "control.share_adapt",
-	"share-quantum":    "control.share_quantum",
-	"share-hold":       "control.share_hold",
-	"share-cooldown":   "control.share_cooldown",
-}
-
 // cliMain is the testable entry point: parse the three surviving flags,
 // load and validate the spec, apply the meta overrides, run.
 func cliMain(args []string) error {
-	if legacy := findRemovedFlag(args); legacy != "" {
-		return fmt.Errorf("-%s was removed in PR 6: set the spec field %q and rerun with -spec run.json (see the README's \"Migrating from flags to -spec\" note)",
-			legacy, removedFlags[legacy])
-	}
 	fs := flag.NewFlagSet("icgmm-serve", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	specPath := fs.String("spec", "", "declarative run spec (JSON file, see serve.Spec); required")
@@ -136,30 +93,6 @@ func cliMain(args []string) error {
 		return err
 	}
 	return runSpec(spec)
-}
-
-// findRemovedFlag scans raw arguments for a flag retired in PR 6, before
-// flag parsing turns it into a generic "flag provided but not defined".
-func findRemovedFlag(args []string) string {
-	for _, a := range args {
-		if len(a) < 2 || a[0] != '-' {
-			continue
-		}
-		name := a[1:]
-		if name[0] == '-' {
-			name = name[1:]
-		}
-		for i := 0; i < len(name); i++ {
-			if name[i] == '=' {
-				name = name[:i]
-				break
-			}
-		}
-		if _, ok := removedFlags[name]; ok {
-			return name
-		}
-	}
-	return ""
 }
 
 // runSpec drives one serving run through the Session lifecycle: resolve the

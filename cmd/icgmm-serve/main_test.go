@@ -35,43 +35,6 @@ func TestCLIRequiresSpec(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsRemovedFlags: every retired flag must fail with a message
-// naming the spec field that replaced it — in all the spellings the old
-// interface accepted (-flag value, -flag=value, --flag), and regardless of
-// where it sits in the argument list.
-func TestCLIRejectsRemovedFlags(t *testing.T) {
-	cases := []struct {
-		args  []string
-		field string
-	}{
-		{[]string{"-workload", "parsec"}, `"workload.name"`},
-		{[]string{"--workload=parsec"}, `"workload.name"`},
-		{[]string{"-spec", "run.json", "-ops", "1024"}, `"ops"`},
-		{[]string{"-cache-mb=16"}, `"cache.size_mb"`},
-		{[]string{"-k", "8"}, `"train.k"`},
-		{[]string{"-shot", "500"}, `"train.shot"`},
-		{[]string{"-refresh", "sync"}, `"refresh.mode"`},
-		{[]string{"-drift"}, `"workload.drift"`},
-		{[]string{"-drift-sustain", "8"}, `"refresh.drift_sustain"`},
-		{[]string{"-tenants", "t.json"}, `"tenants"`},
-		{[]string{"-share-adapt"}, `"control.share_adapt"`},
-		{[]string{"-control-max-mult", "16"}, `"control.max_mult"`},
-	}
-	for _, tc := range cases {
-		err := cliMain(tc.args)
-		if err == nil {
-			t.Errorf("%v: accepted", tc.args)
-			continue
-		}
-		if !strings.Contains(err.Error(), "removed in PR 6") {
-			t.Errorf("%v: error is not the migration message: %v", tc.args, err)
-		}
-		if !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%v: error does not name spec field %s: %v", tc.args, tc.field, err)
-		}
-	}
-}
-
 // TestCLIRejectsUnknownFlagAndArgs: a flag that never existed still gets the
 // stock parse error, and stray positional arguments are refused.
 func TestCLIRejectsUnknownFlagAndArgs(t *testing.T) {

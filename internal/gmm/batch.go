@@ -1,11 +1,9 @@
 package gmm
 
-import "math"
-
-// scoreBlock is the number of points scored per block. A block's scratch is
-// K*scoreBlock float64s (128 KiB at the paper's K = 256), sized to stay in
-// L2 while amortizing the per-component parameter loads across the block.
-const scoreBlock = 64
+import (
+	"math"
+	"math/bits"
+)
 
 // The log-sum-exp below skips the exps that cannot change a bit of the sum.
 // TestExpCutoffs checks both bounds against math.Exp on the running platform.
@@ -28,67 +26,57 @@ func negligible(d, sum float64) bool {
 	return d < expTinyCut && (d < expZeroCut || sum >= 1)
 }
 
-// logSumExp returns log Σ_c exp(ld[c·scoreBlock]), one point's column of
-// the block buffer, given maxLog, the column's maximum as a strict > scan
-// from -Inf finds it. It sums in component order and skips only negligible
-// terms, so the result has the bits of the dense max-then-sum loop: -Inf
-// when no term exceeds -Inf, NaN when any term it evaluates is NaN.
+// logSumExp returns log Σ exp(ld[n]) given maxLog, ld's maximum as a strict >
+// scan from -Inf finds it. It sums in order and skips only negligible terms,
+// so the result has the bits of the dense max-then-sum loop: -Inf when no
+// term exceeds -Inf, NaN when any term it evaluates is NaN.
 func logSumExp(ld []float64, maxLog float64) float64 {
 	if math.IsInf(maxLog, -1) {
 		return maxLog
 	}
 	sum := 0.0
-	for j := 0; j < len(ld); j += scoreBlock {
-		if d := ld[j] - maxLog; !negligible(d, sum) {
+	for _, v := range ld {
+		if d := v - maxLog; !negligible(d, sum) {
 			sum += math.Exp(d)
 		}
 	}
 	return maxLog + math.Log(sum)
 }
 
-// logScoreBlock scores one block of at most scoreBlock points into dst. Each
-// component's log-density sweep fills its column of the component-major
-// block buffer ld (Scratch.block) and folds into the running per-point
-// maximum, kept in dst; logSumExp then sums each point's terms in component
-// order. Per point this is the arithmetic of LogScore, so batched and
-// per-call scoring are bit-identical.
-func (b *soa) logScoreBlock(dst, xs, ys, ld []float64) {
-	n := len(xs)
-	maxLog := dst[:n]
-	for i := range maxLog {
-		maxLog[i] = math.Inf(-1)
-	}
-	for c := range b.logCoef {
-		col := ld[c*scoreBlock:][:n]
-		b.density(col, xs, ys, b.meanX[c], b.meanY[c], b.pxx[c], b.pxy[c], b.pyy[c], b.logCoef[c])
-		for i, v := range col {
-			if v > maxLog[i] {
-				maxLog[i] = v
+// logScore scores one point through the candidate grid: it evaluates only
+// the set bits of the point's cell mask, in ascending component order, into
+// ld (at least K long), then runs the log-sum-exp over them. Every dropped
+// component is certified to be an exact zero below the maximum, which the
+// dense sum skips too, so the result has the bits of LogScore.
+func (b *bundle) logScore(x, y float64, ld []float64) float64 {
+	terms, scale := b.terms, b.scale
+	maxLog := math.Inf(-1)
+	n := 0
+	for w, word := range b.grid.candidates(x, y) {
+		for ; word != 0; word &= word - 1 {
+			v := terms[w<<6|bits.TrailingZeros64(word)].logDensity(scale, x, y)
+			ld[n] = v
+			n++
+			if v > maxLog {
+				maxLog = v
 			}
 		}
 	}
-	for i, m := range maxLog {
-		dst[i] = logSumExp(ld[i:], m)
-	}
+	return logSumExp(ld[:n], maxLog)
 }
 
 // scorePageTimes fills dst with the mixture density at each (page,
-// timestamp) pair, scoring block-wise straight from the coordinate slices
-// through s. It is the body of both models' ScorePageTimeBatchScratch.
-func (b *soa) scorePageTimes(pages, times, dst []float64, s *Scratch) {
+// timestamp) pair, point by point through the candidate kernel. It is the
+// body of both models' ScorePageTimeBatchScratch.
+func (b *bundle) scorePageTimes(pages, times, dst []float64, s *Scratch) {
 	if len(pages) == 0 {
 		return
 	}
 	_ = dst[len(pages)-1]
 	_ = times[len(pages)-1]
-	ld := s.block(len(b.logCoef))
-	for start := 0; start < len(pages); start += scoreBlock {
-		end := min(start+scoreBlock, len(pages))
-		out := dst[start:end]
-		b.logScoreBlock(out, pages[start:end], times[start:end], ld)
-		for i := range out {
-			out[i] = math.Exp(out[i])
-		}
+	ld := s.terms(len(b.terms))
+	for i, x := range pages {
+		dst[i] = math.Exp(b.logScore(x, times[i], ld))
 	}
 }
 
@@ -97,5 +85,5 @@ func (b *soa) scorePageTimes(pages, times, dst []float64, s *Scratch) {
 // per-point ScorePageTime. It allocates nothing once the scratch has grown to
 // this model's K; dst must be at least len(pages) long.
 func (m *Model) ScorePageTimeBatchScratch(pages, times, dst []float64, s *Scratch) {
-	m.soa.scorePageTimes(pages, times, dst, s)
+	m.bundle.scorePageTimes(pages, times, dst, s)
 }

@@ -11,11 +11,12 @@ import (
 	"repro/internal/workload"
 )
 
-// batchTestModel builds a mixture spread over the unit square, large enough
-// to exercise several blocks per call. Its covariances keep every point of
-// the unit square within a few standard deviations of every component, so
-// none of its terms is negligible: it exercises the block layout, not the
-// skipped exps (the fitted benchmarks and lse_test.go do that).
+// batchTestModel builds a mixture spread over the unit square. Its
+// covariances keep every point of the unit square within a few standard
+// deviations of every component, so none of its terms is negligible: it
+// exercises the kernel with every component a candidate, not the grid's
+// pruning or the skipped exps (the fitted benchmarks, grid_test.go and
+// lse_test.go do that).
 func batchTestModel(t testing.TB, k int) *Model {
 	t.Helper()
 	comps := make([]Component, k)
@@ -33,15 +34,14 @@ func batchTestModel(t testing.TB, k int) *Model {
 	return m
 }
 
-// blockLogScores runs logScoreBlock over xs, ys block by block, the way
-// scorePageTimes does, but keeps the log domain.
-func blockLogScores(b *soa, xs, ys []float64) []float64 {
+// candidateLogScores runs the candidate kernel over xs, ys point by point,
+// the way scorePageTimes does, but keeps the log domain.
+func candidateLogScores(b *bundle, xs, ys []float64) []float64 {
 	var s Scratch
-	ld := s.block(len(b.logCoef))
+	ld := s.terms(len(b.terms))
 	dst := make([]float64, len(xs))
-	for start := 0; start < len(xs); start += scoreBlock {
-		end := min(start+scoreBlock, len(xs))
-		b.logScoreBlock(dst[start:end], xs[start:end], ys[start:end], ld)
+	for i := range xs {
+		dst[i] = b.logScore(xs[i], ys[i], ld)
 	}
 	return dst
 }
@@ -52,12 +52,12 @@ func TestLogScoreBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Spread points well outside the training range too, where densities
 	// underflow and the log-sum-exp guard matters.
-	n := 3*scoreBlock + 5
+	n := 197
 	xs, ys := make([]float64, n), make([]float64, n)
 	for i := range xs {
 		xs[i], ys[i] = rng.Float64()*40-20, rng.Float64()*40-20
 	}
-	dst := blockLogScores(&m.soa, xs, ys)
+	dst := candidateLogScores(&m.bundle, xs, ys)
 	for i := range xs {
 		want := m.LogScore(linalg.V2(xs[i], ys[i]))
 		if math.Float64bits(dst[i]) != math.Float64bits(want) {
@@ -70,7 +70,7 @@ func TestScorePageTimeBatchMatchesScalar(t *testing.T) {
 	t.Parallel()
 	m := batchTestModel(t, 5)
 	rng := rand.New(rand.NewSource(2))
-	n := scoreBlock + 3
+	n := 67
 	pages := make([]float64, n)
 	times := make([]float64, n)
 	dst := make([]float64, n)
@@ -98,12 +98,12 @@ func TestLogScoreBatchEmpty(t *testing.T) {
 
 // TestBatchScratchReuseAcrossK: one Scratch serves models of different K in
 // turn (the serving path keeps its per-partition scratch across refits that
-// may change K). A block buffer grown at a larger K and reused at a smaller
+// may change K). A term buffer grown at a larger K and reused at a smaller
 // one must score exactly like a fresh scratch.
 func TestBatchScratchReuseAcrossK(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(6))
-	n := 2*scoreBlock + 7
+	n := 135
 	pages := make([]float64, n)
 	times := make([]float64, n)
 	for i := range pages {
@@ -129,7 +129,7 @@ func TestBatchScratchReuseAcrossK(t *testing.T) {
 func TestBatchScorerAllocs(t *testing.T) {
 	m := batchTestModel(t, 32)
 	rng := rand.New(rand.NewSource(7))
-	n := 2*scoreBlock + 9
+	n := 137
 	pages := make([]float64, n)
 	times := make([]float64, n)
 	dst := make([]float64, n)
@@ -179,8 +179,9 @@ func BenchmarkScoreBatch(b *testing.B) {
 }
 
 // BenchmarkScoreBatchQ16 is the quantized counterpart of BenchmarkScoreBatch:
-// the same batch size through the Q16.16 weight-buffer datapath (dequantized
-// SoA plus linear-domain fold), the form the serve path dispatches to.
+// the same batch size through the Q16.16 weight-buffer datapath (the
+// dequantized bundle with its folded precisions), the form the serve path
+// dispatches to.
 func BenchmarkScoreBatchQ16(b *testing.B) {
 	m := batchTestModel(b, 256)
 	q, rep := Quantize(m)
@@ -274,8 +275,9 @@ func termCounts(m *Model, pages, times []float64) (zero, tiny, evaluated int) {
 
 // benchmarkScoreFitted scores the fitted model's points in serve-sized
 // calls. Unlike batchTestModel, a fitted model's tight components leave many
-// terms negligible far from their mass, which is the case the sparse
-// log-sum-exp skips; exps/point and zeros/point report how many.
+// terms negligible far from their mass, which is the case the candidate grid
+// prunes and the sparse log-sum-exp skips; cands/point, exps/point and
+// zeros/point report how many.
 func benchmarkScoreFitted(b *testing.B, fitted func() (fittedDLRM, error)) {
 	f, err := fitted()
 	if err != nil {
@@ -292,6 +294,7 @@ func benchmarkScoreFitted(b *testing.B, fitted func() (fittedDLRM, error)) {
 	}
 	n := float64(len(f.pages))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n), "ns/point")
+	b.ReportMetric(candidatesPerPoint(&f.m.bundle, f.pages, f.times), "cands/point")
 	b.ReportMetric(float64(evaluated)/n, "exps/point")
 	b.ReportMetric(float64(zero)/n, "zeros/point")
 }

@@ -208,6 +208,7 @@ func Fit(samples []trace.Sample, cfg TrainConfig) (*TrainResult, error) {
 	if err := res.Model.Validate(); err != nil {
 		return nil, err
 	}
+	res.Model.rebuildBundle()
 	return res, nil
 }
 
@@ -323,7 +324,7 @@ func initialModel(points []linalg.Vec2, k int, rng *rand.Rand, cfg TrainConfig) 
 			Cov:    linalg.SymDiag(init, init),
 		}
 	}
-	return New(comps)
+	return newPrepared(comps)
 }
 
 func dataSpread(points []linalg.Vec2) float64 {
@@ -364,6 +365,5 @@ func prepareAll(m *Model) error {
 			return fmt.Errorf("component %d: %w", i, err)
 		}
 	}
-	m.rebuildSOA()
 	return nil
 }

@@ -1,7 +1,9 @@
 package gmm
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -63,44 +65,14 @@ func denseLogSumExp(ld []float64) float64 {
 	return maxLog + math.Log(sum)
 }
 
-// denseLogScoreBlock is the parent logScoreBlock, verbatim but for the
-// receiver: the strided max pass over the finished block buffer, then the
-// dense sum.
-func denseLogScoreBlock(b *soa, dst, xs, ys, ld []float64) {
-	k := len(b.logCoef)
-	n := len(xs)
-	for c := 0; c < k; c++ {
-		b.density(ld[c*scoreBlock:c*scoreBlock+n], xs, ys,
-			b.meanX[c], b.meanY[c],
-			b.pxx[c], b.pxy[c], b.pyy[c], b.logCoef[c])
-	}
-	for i := 0; i < n; i++ {
-		maxLog := math.Inf(-1)
-		for c := 0; c < k; c++ {
-			if v := ld[c*scoreBlock+i]; v > maxLog {
-				maxLog = v
-			}
-		}
-		if math.IsInf(maxLog, -1) {
-			dst[i] = maxLog
-			continue
-		}
-		sum := 0.0
-		for c := 0; c < k; c++ {
-			sum += math.Exp(ld[c*scoreBlock+i] - maxLog)
-		}
-		dst[i] = maxLog + math.Log(sum)
-	}
-}
-
 // sameBits reports bit equality, the contract every scoring path keeps.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // randomLSEModel draws a model that drives terms across both cutoffs:
-// K in [1, 300], per-axis variances log-uniform in [1e-6, 1e-1], some
-// zero-weight (-Inf log-coefficient) components, and duplicated components
-// whose terms tie at the maximum.
-func randomLSEModel(t *testing.T, rng *rand.Rand) *Model {
+// K in [1, 300], per-axis variances log-uniform over the given number of
+// decades below 1e-1, some zero-weight (-Inf log-coefficient) components,
+// and duplicated components whose terms tie at the maximum.
+func randomLSEModel(t *testing.T, rng *rand.Rand, decades float64) *Model {
 	t.Helper()
 	k := 1 + rng.Intn(300)
 	comps := make([]Component, k)
@@ -109,8 +81,8 @@ func randomLSEModel(t *testing.T, rng *rand.Rand) *Model {
 			comps[i] = comps[rng.Intn(i)] // a tie with an earlier component
 			continue
 		}
-		vx := math.Pow(10, -1-5*rng.Float64())
-		vy := math.Pow(10, -1-5*rng.Float64())
+		vx := math.Pow(10, -1-decades*rng.Float64())
+		vy := math.Pow(10, -1-decades*rng.Float64())
 		rho := 0.9 * (2*rng.Float64() - 1)
 		comps[i] = Component{
 			Weight: rng.Float64(),
@@ -131,9 +103,9 @@ func randomLSEModel(t *testing.T, rng *rand.Rand) *Model {
 
 // lsePoints are the points the differential test scores: inside the unit
 // square (near component mass and between it), far outside it, exactly on
-// component means (where duplicated components tie), and non-finite ones
-// whose terms are all -Inf or NaN.
-func lsePoints(rng *rand.Rand, m *Model) (xs, ys []float64) {
+// component means (where duplicated components tie), non-finite ones whose
+// terms are all -Inf or NaN, and the grid's edge cases.
+func lsePoints(rng *rand.Rand, means []linalg.Vec2) (xs, ys []float64) {
 	add := func(x, y float64) { xs, ys = append(xs, x), append(ys, y) }
 	for i := 0; i < 40; i++ {
 		add(rng.Float64(), rng.Float64())
@@ -142,7 +114,7 @@ func lsePoints(rng *rand.Rand, m *Model) (xs, ys []float64) {
 		add(rng.Float64()*200-100, rng.Float64()*200-100)
 	}
 	for i := 0; i < 8; i++ {
-		c := m.Components[rng.Intn(m.K())].Mean
+		c := means[rng.Intn(len(means))]
 		add(c.X, c.Y)
 	}
 	add(1e200, -1e200)                 // quadratic forms overflow: every term -Inf
@@ -151,77 +123,217 @@ func lsePoints(rng *rand.Rand, m *Model) (xs, ys []float64) {
 	add(0.5, math.Inf(-1))             // -Inf or NaN terms
 	add(1e-300, 1e-300)                // near the origin corner
 	add(math.Nextafter(1, 2), 1+1e-15) // just outside the square
+	gx, gy := gridEdgePoints()
+	xs, ys = append(xs, gx...), append(ys, gy...)
 	return xs, ys
 }
 
-// TestSparseLogSumExpMatchesDense pins every scoring path — float and q16,
-// block and scalar — to the dense reference bit for bit, on random models
-// whose terms straddle both cutoffs.
-func TestSparseLogSumExpMatchesDense(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(11))
-	var skipped, total int
-	for mi := 0; mi < 150; mi++ {
-		m := randomLSEModel(t, rng)
-		q, _ := Quantize(m) // saturation changes the densities, not the contract
-		xs, ys := lsePoints(rng, m)
-		zero, tiny, evaluated := termCounts(m, xs, ys)
-		skipped += zero + tiny
-		total += zero + tiny + evaluated
-		for _, path := range []struct {
-			name   string
-			b      *soa
-			scalar func(x, y float64) float64
-			term   func(c int, x, y float64) float64
-			batch  func(pages, times, dst []float64, s *Scratch)
-		}{
-			{"float", &m.soa, func(x, y float64) float64 { return m.LogScore(linalg.V2(x, y)) },
-				func(c int, x, y float64) float64 { return m.Components[c].LogDensity(linalg.V2(x, y)) },
-				m.ScorePageTimeBatchScratch},
-			{"q16", &q.dq, func(x, y float64) float64 { return q.LogScore(linalg.V2(x, y)) },
-				q.logDensity, q.ScorePageTimeBatchScratch},
-		} {
-			got := blockLogScores(path.b, xs, ys)
-			want := make([]float64, len(xs))
-			var s Scratch
-			ld := s.block(m.K())
-			for start := 0; start < len(xs); start += scoreBlock {
-				end := min(start+scoreBlock, len(xs))
-				denseLogScoreBlock(path.b, want[start:end], xs[start:end], ys[start:end], ld)
-			}
-			terms := make([]float64, m.K())
-			for i := range xs {
-				for c := range terms {
-					terms[c] = path.term(c, xs[i], ys[i])
-				}
-				ref := denseLogSumExp(terms)
-				if !sameBits(want[i], ref) {
-					t.Fatalf("model %d %s point (%v, %v): dense block %v != dense scalar %v", mi, path.name, xs[i], ys[i], want[i], ref)
-				}
-				if !sameBits(got[i], ref) {
-					t.Fatalf("model %d (K=%d) %s point (%v, %v): sparse block %v != dense %v", mi, m.K(), path.name, xs[i], ys[i], got[i], ref)
-				}
-				if sc := path.scalar(xs[i], ys[i]); !sameBits(sc, ref) {
-					t.Fatalf("model %d (K=%d) %s point (%v, %v): sparse scalar %v != dense %v", mi, m.K(), path.name, xs[i], ys[i], sc, ref)
-				}
-			}
-			dst := make([]float64, len(xs))
-			path.batch(xs, ys, dst, &s)
-			for i := range xs {
-				if want := math.Exp(got[i]); !sameBits(dst[i], want) {
-					t.Fatalf("model %d %s point %d: ScorePageTimeBatchScratch %v != exp(log score) %v", mi, path.name, i, dst[i], want)
-				}
-			}
+// gridEdgePoints are the candidate grid's edge cases: points on page-cell
+// and time-cell edges and one ulp below them, the square's far edges at
+// 1 - ulp and exactly 1, signed zeros, points just outside the square and
+// non-finite coordinates.
+func gridEdgePoints() (xs, ys []float64) {
+	add := func(x, y float64) { xs, ys = append(xs, x), append(ys, y) }
+	below := func(v float64) float64 { return math.Nextafter(v, math.Inf(-1)) }
+	for k := 0; k <= gridPages; k++ {
+		x, y := float64(k)/gridPages, float64(k%(gridTimes+1))/gridTimes
+		add(x, y)
+		add(below(x), below(y))
+	}
+	for k := 0; k <= gridTimes; k++ {
+		y := float64(k) / gridTimes
+		add(0.37, y)
+		add(0.37, below(y))
+	}
+	one, negZero := below(1), math.Copysign(0, -1)
+	add(one, 0.5)
+	add(0.5, one)
+	add(one, one)
+	add(1, 0.5)
+	add(0.5, 1)
+	add(1, 1)
+	add(negZero, 0.3)
+	add(0.3, negZero)
+	add(negZero, negZero)
+	add(-math.SmallestNonzeroFloat64, 0.5)
+	add(0.5, -math.SmallestNonzeroFloat64)
+	add(-0.01, 0.5)
+	add(0.5, 1.01)
+	add(math.Inf(-1), 0.5)
+	add(0.5, math.NaN())
+	add(math.NaN(), math.NaN())
+	add(math.Inf(1), math.Inf(1))
+	return xs, ys
+}
+
+// scorePath is one bundle with its references: the per-point LogScore, the
+// per-component term it sums, and the batch entry point.
+type scorePath struct {
+	name   string
+	b      *bundle
+	scalar func(x, y float64) float64
+	term   func(c int, x, y float64) float64
+	batch  func(pages, times, dst []float64, s *Scratch)
+}
+
+func floatPath(m *Model) scorePath {
+	return scorePath{"float", &m.bundle,
+		func(x, y float64) float64 { return m.LogScore(linalg.V2(x, y)) },
+		func(c int, x, y float64) float64 { return m.Components[c].LogDensity(linalg.V2(x, y)) },
+		m.ScorePageTimeBatchScratch}
+}
+
+func q16Path(q *QuantizedModel) scorePath {
+	return scorePath{"q16", &q.dq,
+		func(x, y float64) float64 { return q.LogScore(linalg.V2(x, y)) },
+		q.logDensity, q.ScorePageTimeBatchScratch}
+}
+
+// checkPath pins one path's candidate kernel, its scalar LogScore and its
+// batch entry point to the dense reference over every component, bit for bit.
+func checkPath(t *testing.T, label string, p scorePath, xs, ys []float64) {
+	t.Helper()
+	k := len(p.b.terms)
+	got := candidateLogScores(p.b, xs, ys)
+	terms := make([]float64, k)
+	for i := range xs {
+		for c := range terms {
+			terms[c] = p.term(c, xs[i], ys[i])
+		}
+		ref := denseLogSumExp(terms)
+		if !sameBits(got[i], ref) {
+			t.Fatalf("%s (K=%d) %s point (%v, %v): candidate kernel %v != dense %v", label, k, p.name, xs[i], ys[i], got[i], ref)
+		}
+		if sc := p.scalar(xs[i], ys[i]); !sameBits(sc, ref) {
+			t.Fatalf("%s (K=%d) %s point (%v, %v): sparse scalar %v != dense %v", label, k, p.name, xs[i], ys[i], sc, ref)
 		}
 	}
-	// The models must actually exercise the skip, or the test proves nothing.
-	if skipped*4 < total {
-		t.Fatalf("only %d of %d terms skipped; the random models no longer reach the cutoffs", skipped, total)
+	dst := make([]float64, len(xs))
+	var s Scratch
+	p.batch(xs, ys, dst, &s)
+	for i := range xs {
+		if want := math.Exp(got[i]); !sameBits(dst[i], want) {
+			t.Fatalf("%s %s point %d: ScorePageTimeBatchScratch %v != exp(log score) %v", label, p.name, i, dst[i], want)
+		}
 	}
 }
 
-// checkColumn compares logSumExp on one point's column, laid out at the
-// block buffer's stride, with the dense reference bit for bit.
+// prunedTerms counts the terms the candidate grid drops over the points.
+func prunedTerms(b *bundle, xs, ys []float64) int {
+	pruned := 0
+	for i := range xs {
+		pruned += len(b.terms)
+		for _, w := range b.grid.candidates(xs[i], ys[i]) {
+			pruned -= bits.OnesCount64(w)
+		}
+	}
+	return pruned
+}
+
+// TestSparseLogSumExpMatchesDense pins every scoring path — float and q16,
+// candidate kernel, scalar and batch — to the dense reference bit for bit,
+// on random models whose terms straddle both cutoffs, on unsaturated q16
+// models, and on a q16 model with non-concave terms.
+func TestSparseLogSumExpMatchesDense(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	var skipped, total, pruned int
+	for mi := 0; mi < 150; mi++ {
+		m := randomLSEModel(t, rng, 5)
+		q, _ := Quantize(m) // saturation changes the densities, not the contract
+		xs, ys := lsePoints(rng, modelMeans(m))
+		zero, tiny, evaluated := termCounts(m, xs, ys)
+		skipped += zero + tiny
+		total += zero + tiny + evaluated
+		pruned += prunedTerms(&m.bundle, xs, ys)
+		label := fmt.Sprintf("model %d", mi)
+		checkPath(t, label, floatPath(m), xs, ys)
+		checkPath(t, label, q16Path(q), xs, ys)
+	}
+	// The models must actually exercise the skip and the grid, or the test
+	// proves nothing.
+	if skipped*4 < total {
+		t.Fatalf("only %d of %d terms skipped; the random models no longer reach the cutoffs", skipped, total)
+	}
+	if pruned*5 < total {
+		t.Fatalf("the grid pruned only %d of %d float terms, want at least 20%%", pruned, total)
+	}
+	t.Logf("float: %d of %d terms skipped, %d pruned by the grid", skipped, total, pruned)
+	// Variances of at least 1e-4 keep every folded precision entry inside
+	// Q16.16, so these models exercise unsaturated q16 bundles.
+	var qPruned, qTotal int
+	for mi := 0; mi < 40; mi++ {
+		m := randomLSEModel(t, rng, 3)
+		q, rep := Quantize(m)
+		if rep.Saturated != 0 {
+			t.Fatalf("unsaturated model %d: %d constants saturate", mi, rep.Saturated)
+		}
+		xs, ys := lsePoints(rng, modelMeans(m))
+		qPruned += prunedTerms(&q.dq, xs, ys)
+		qTotal += q.K() * len(xs)
+		checkPath(t, fmt.Sprintf("unsaturated model %d", mi), q16Path(q), xs, ys)
+	}
+	if qPruned == 0 {
+		t.Fatalf("the grid pruned none of %d unsaturated q16 terms", qTotal)
+	}
+	t.Logf("unsaturated q16: %d of %d terms pruned by the grid", qPruned, qTotal)
+	q := nonConcaveQ16()
+	means := make([]linalg.Vec2, q.K())
+	for i := range means {
+		means[i] = linalg.V2(fromQ(q.MeanX[i]), fromQ(q.MeanY[i]))
+	}
+	xs, ys := lsePoints(rng, means)
+	checkPath(t, "non-concave", q16Path(q), xs, ys)
+	nonConcave := uint64(1<<1 | 1<<3 | 1<<4 | 1<<6 | 1<<7)
+	ncPruned := 0
+	for cell := 0; cell < gridCells; cell++ {
+		mask := q.dq.grid.masks[cell]
+		if mask&nonConcave != nonConcave {
+			t.Fatalf("cell %d mask %#x drops a non-concave component", cell, mask)
+		}
+		ncPruned += q.K() - bits.OnesCount64(mask)
+	}
+	if ncPruned == 0 {
+		t.Fatal("the grid pruned nothing on the non-concave model")
+	}
+}
+
+func modelMeans(m *Model) []linalg.Vec2 {
+	means := make([]linalg.Vec2, m.K())
+	for i := range m.Components {
+		means[i] = m.Components[i].Mean
+	}
+	return means
+}
+
+// nonConcaveQ16 is a hand-built q16 model whose folded precision is not
+// negative definite in five of its components (1: convex along the page
+// axis, 3: indefinite, 4: singular, 6: flat, 7: convex, and far from an
+// exact zero within a cell of its mean), next to tight concave ones and a
+// broad one that let the grid prune elsewhere. Its non-concave terms must
+// stay candidates in every cell.
+func nonConcaveQ16() *QuantizedModel {
+	q := &QuantizedModel{}
+	add := func(mx, my, pxx, pxy, pyy, lc float64) {
+		q.MeanX, q.MeanY = append(q.MeanX, toQ(mx)), append(q.MeanY, toQ(my))
+		q.PrecXX, q.PrecXY, q.PrecYY = append(q.PrecXX, toQ(pxx)), append(q.PrecXY, toQ(pxy)), append(q.PrecYY, toQ(pyy))
+		q.LogCoef = append(q.LogCoef, toQ(lc))
+	}
+	add(0.1, 0.1, -20000, 0, -20000, 3)
+	add(0.5, 0.5, 2, 0, -3, -900) // convex along the page axis
+	add(0.9, 0.2, -20000, 100, -20000, 3)
+	add(0.3, 0.8, -5, 40, -5, -1200) // indefinite: AC < B²
+	add(0.7, 0.7, -4, 4, -4, -2000)  // singular: AC = B²
+	add(0.2, 0.9, -30000, -2000, -25000, 2)
+	add(0.6, 0.1, 0, 0, 0, -800) // flat
+	add(0.45, 0.55, 30000, 0, 30000, -1000)
+	add(0.5, 0.5, -1, 0, -1, 0)
+	q.rebuildDQ()
+	return q
+}
+
+// checkColumn compares logSumExp on one point's terms with the dense
+// reference bit for bit.
 func checkColumn(t *testing.T, col []float64) {
 	t.Helper()
 	maxLog := math.Inf(-1)
@@ -230,12 +342,8 @@ func checkColumn(t *testing.T, col []float64) {
 			maxLog = v
 		}
 	}
-	ld := make([]float64, len(col)*scoreBlock)
-	for c, v := range col {
-		ld[c*scoreBlock] = v
-	}
 	want := denseLogSumExp(col)
-	if got := logSumExp(ld, maxLog); !sameBits(got, want) {
+	if got := logSumExp(col, maxLog); !sameBits(got, want) {
 		t.Errorf("column %v: sparse %v (%#x) != dense %v (%#x)", col, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }

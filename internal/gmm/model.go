@@ -68,14 +68,26 @@ func (c *Component) LogDensity(x linalg.Vec2) float64 {
 type Model struct {
 	Components []Component
 
-	// soa is the packed scoring bundle the batch kernels read; rebuilt by
-	// rebuildSOA whenever the components are (re-)prepared.
-	soa soa
+	// bundle is the packed scoring form the batch kernel reads, with its
+	// candidate grid. New, RestoreModel and Fit build it once for the model
+	// they return; it is never rebuilt per EM iteration.
+	bundle bundle
 }
 
 // New builds a model from components, validating and caching the derived
 // per-component quantities. Weights are renormalized to sum to one.
 func New(components []Component) (*Model, error) {
+	m, err := newPrepared(components)
+	if err != nil {
+		return nil, err
+	}
+	m.rebuildBundle()
+	return m, nil
+}
+
+// newPrepared is New without the scoring bundle: EM starts from it and
+// builds the bundle only for the model it returns.
+func newPrepared(components []Component) (*Model, error) {
 	if len(components) == 0 {
 		return nil, errors.New("gmm: model needs at least one component")
 	}
@@ -97,7 +109,6 @@ func New(components []Component) (*Model, error) {
 			return nil, fmt.Errorf("component %d: %w", i, err)
 		}
 	}
-	m.rebuildSOA()
 	return m, nil
 }
 

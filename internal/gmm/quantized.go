@@ -19,12 +19,12 @@ type QuantizedModel struct {
 	PrecXX, PrecXY, PrecYY []int32
 	LogCoef                []int32
 
-	// dq is the dequantized SoA scoring bundle (fromQ of every constant,
-	// precision entries still carrying the folded -1/2), built by Quantize so
-	// the batch kernels never convert per point. Models assembled by hand
-	// rather than through Quantize leave it empty; the batch entry point
-	// falls back to per-point scoring then.
-	dq soa
+	// dq is the dequantized scoring bundle (fromQ of every constant,
+	// precision entries still carrying the folded -1/2) with its candidate
+	// grid, built by Quantize so the batch kernel never converts per point.
+	// Models assembled by hand rather than through Quantize leave it empty;
+	// the batch entry point falls back to per-point scoring then.
+	dq bundle
 }
 
 // QFracBits is the number of fractional bits in the Q16.16 representation.
@@ -115,23 +115,25 @@ func Quantize(m *Model) (*QuantizedModel, QuantReport) {
 	return q, rep
 }
 
-// rebuildDQ repacks the dequantized constants into the SoA scoring bundle.
+// rebuildDQ packs the dequantized constants into the scoring bundle and
+// certifies its candidate grid, once every constant is filled in.
 func (q *QuantizedModel) rebuildDQ() {
-	k := q.K()
-	q.dq.resize(k)
-	q.dq.density = linalg.FoldedLogDensityBatch
-	for i := 0; i < k; i++ {
-		q.dq.meanX[i], q.dq.meanY[i] = fromQ(q.MeanX[i]), fromQ(q.MeanY[i])
-		q.dq.pxx[i], q.dq.pxy[i], q.dq.pyy[i] = fromQ(q.PrecXX[i]), fromQ(q.PrecXY[i]), fromQ(q.PrecYY[i])
-		q.dq.logCoef[i] = fromQ(q.LogCoef[i])
+	terms := make([]term, q.K())
+	for i := range terms {
+		terms[i] = term{
+			meanX: fromQ(q.MeanX[i]), meanY: fromQ(q.MeanY[i]),
+			pxx: fromQ(q.PrecXX[i]), pxy: fromQ(q.PrecXY[i]), pyy: fromQ(q.PrecYY[i]),
+			logCoef: fromQ(q.LogCoef[i]),
+		}
 	}
+	q.dq = newBundle(terms, 1)
 }
 
 // K returns the number of components.
 func (q *QuantizedModel) K() int { return len(q.MeanX) }
 
 // logDensity is component i's exponent at (x, y): logCoef + the folded
-// quadratic form. The expression shape matches linalg.FoldedLogDensityBatch
+// quadratic form. The expression shape matches term.logDensity at scale 1
 // exactly, so per-point and batched quantized scoring are bit-identical.
 func (q *QuantizedModel) logDensity(i int, x, y float64) float64 {
 	dx := x - fromQ(q.MeanX[i])
@@ -179,7 +181,7 @@ func (q *QuantizedModel) ScorePageTime(page, timestamp float64) float64 {
 // to per-point ScorePageTime. It is the zero-allocation batch form the
 // serving path threads per-partition scratch through.
 func (q *QuantizedModel) ScorePageTimeBatchScratch(pages, times, dst []float64, s *Scratch) {
-	if len(q.dq.logCoef) != q.K() {
+	if len(q.dq.terms) != q.K() {
 		// Hand-assembled model without the Quantize-built bundle: score
 		// per point rather than racing a lazy rebuild.
 		for i, p := range pages {

@@ -72,7 +72,7 @@ func TestQuantizedBatchMatchesScalar(t *testing.T) {
 		t.Fatalf("test model saturated %d constants", rep.Saturated)
 	}
 	rng := rand.New(rand.NewSource(4))
-	n := 3*scoreBlock + 5
+	n := 197
 	pages := make([]float64, n)
 	times := make([]float64, n)
 	dst := make([]float64, n)
@@ -143,7 +143,7 @@ func TestQuantizedScoreAllocs(t *testing.T) {
 	m := batchTestModel(t, 32)
 	q, _ := Quantize(m)
 	rng := rand.New(rand.NewSource(5))
-	n := 2*scoreBlock + 9
+	n := 137
 	pages := make([]float64, n)
 	times := make([]float64, n)
 	dst := make([]float64, n)

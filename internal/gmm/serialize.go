@@ -85,7 +85,7 @@ func RestoreModel(components []Component) (*Model, error) {
 			return nil, fmt.Errorf("component %d: %w", i, err)
 		}
 	}
-	m.rebuildSOA()
+	m.rebuildBundle()
 	return m, nil
 }
 

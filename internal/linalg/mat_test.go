@@ -27,6 +27,45 @@ func TestMat2MulVec(t *testing.T) {
 	}
 }
 
+func TestMat2AddSubScale(t *testing.T) {
+	m := Mat2{A: 1, B: 2, C: 3, D: 4}
+	n := Mat2{A: 5, B: -6, C: 7, D: 0.5}
+	if got, want := m.Add(n), (Mat2{A: 6, B: -4, C: 10, D: 4.5}); got != want {
+		t.Errorf("Add = %v, want %v", got, want)
+	}
+	if got, want := m.Sub(n), (Mat2{A: -4, B: 8, C: -4, D: 3.5}); got != want {
+		t.Errorf("Sub = %v, want %v", got, want)
+	}
+	if got, want := m.Scale(-2), (Mat2{A: -2, B: -4, C: -6, D: -8}); got != want {
+		t.Errorf("Scale = %v, want %v", got, want)
+	}
+	if got, want := m.String(), "[[1 2] [3 4]]"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+}
+
+func TestSym2Arithmetic(t *testing.T) {
+	s := Sym2{XX: 2, XY: 0.5, YY: 3}
+	u := Sym2{XX: 1, XY: -1, YY: 4}
+	if got, want := s.Add(u), (Sym2{XX: 3, XY: -0.5, YY: 7}); got != want {
+		t.Errorf("Add = %v, want %v", got, want)
+	}
+	if got, want := s.Sub(u), (Sym2{XX: 1, XY: 1.5, YY: -1}); got != want {
+		t.Errorf("Sub = %v, want %v", got, want)
+	}
+	if got, want := s.Scale(2), (Sym2{XX: 4, XY: 1, YY: 6}); got != want {
+		t.Errorf("Scale = %v, want %v", got, want)
+	}
+	// MulVec agrees with the general matrix form.
+	v := V2(-1.5, 2)
+	if got, want := s.MulVec(v), s.Mat().MulVec(v); got != want {
+		t.Errorf("MulVec = %v, want %v", got, want)
+	}
+	if got, want := s.String(), "[[2 0.5] [0.5 3]]"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+}
+
 func TestMat2Inverse(t *testing.T) {
 	m := Mat2{A: 4, B: 7, C: 2, D: 6}
 	inv, ok := m.Inverse()

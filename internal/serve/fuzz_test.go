@@ -1,7 +1,6 @@
 package serve_test
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -189,10 +188,12 @@ func FuzzDeviceSpec(f *testing.F) {
 	})
 }
 
-// FuzzTenantSpec fuzzes the -tenants JSON wire format: arbitrary bytes must
-// never panic, and every accepted spec list must satisfy the documented
-// invariants (unique names, positive rates, shares in (0,1] summing to at
-// most 1) and survive a marshal/parse round trip unchanged.
+// FuzzTenantSpec fuzzes the spec's tenant-list wire format: the fuzzed bytes
+// are the "tenants" value of an otherwise fixed, valid spec, so mutations
+// stay inside the list. Arbitrary bytes must never panic, and every accepted
+// list must satisfy the documented invariants (unique names, positive rates,
+// shares in (0,1] summing to at most 1) and survive a marshal/parse round
+// trip of the spec unchanged.
 func FuzzTenantSpec(f *testing.F) {
 	f.Add([]byte(`[{"name":"a","workload":"dlrm","seed":1,"rate":1e6,"share":0.5}]`))
 	f.Add([]byte(`[{"name":"a","workload":"parsec","rate":1,"share":0.3,
@@ -208,10 +209,11 @@ func FuzzTenantSpec(f *testing.F) {
 	f.Add([]byte(`[{"name":"a","workload":"dlrm","rate":1,"share":"NaN"}]`))
 	f.Add([]byte(`{"name":"a"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		specs, err := serve.ParseTenantSpecs(data)
+		spec, err := serve.ParseSpec(tenantSpecDoc(data))
 		if err != nil {
 			return
 		}
+		specs := spec.Tenants
 		seen := map[string]bool{}
 		var shareSum float64
 		for _, ts := range specs {
@@ -234,16 +236,24 @@ func FuzzTenantSpec(f *testing.F) {
 			t.Fatalf("accepted over-committed shares (sum %v): %s", shareSum, data)
 		}
 		// Accepted specs are canonical: marshal/parse must be lossless.
-		out, err := json.Marshal(specs)
+		out, err := spec.Marshal()
 		if err != nil {
-			t.Fatalf("marshalling accepted specs: %v", err)
+			t.Fatalf("marshalling accepted spec: %v", err)
 		}
-		again, err := serve.ParseTenantSpecs(out)
+		again, err := serve.ParseSpec(out)
 		if err != nil {
 			t.Fatalf("re-parsing %s: %v", out, err)
 		}
-		if !reflect.DeepEqual(specs, again) {
-			t.Fatalf("round trip changed specs:\n%+v\n%+v", specs, again)
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("round trip changed the spec:\n%+v\n%+v", spec, again)
 		}
 	})
+}
+
+// tenantSpecDoc wraps a tenant list in a minimal valid spec: ParseSpec is
+// the only decoder of the tenant-list wire format.
+func tenantSpecDoc(tenants []byte) []byte {
+	doc := []byte(`{"version":1,"warmup":16000,"train":{"shot":128},"tenants":`)
+	doc = append(doc, tenants...)
+	return append(doc, '}')
 }

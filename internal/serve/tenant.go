@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/policy"
 	"repro/internal/stats"
-	"repro/internal/strictjson"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -154,22 +153,6 @@ func (q QoSSpec) improved(v, prev float64) bool {
 		return v > prev+eps
 	}
 	return v < prev-eps
-}
-
-// ParseTenantSpecs decodes the -tenants JSON wire format (an array of
-// TenantSpec objects) and validates it. Decoding is strict: unknown fields
-// anywhere in the document are rejected with a field-path error (e.g.
-// "tenants[1].sahre: unknown field") so typos fail loudly — and point at the
-// offending key — instead of silently configuring defaults.
-func ParseTenantSpecs(data []byte) ([]TenantSpec, error) {
-	var specs []TenantSpec
-	if err := strictjson.Unmarshal(data, &specs, "tenants"); err != nil {
-		return nil, fmt.Errorf("serve: parsing tenant spec: %w", err)
-	}
-	if err := ValidateTenants(specs); err != nil {
-		return nil, err
-	}
-	return specs, nil
 }
 
 // ValidateTenants checks a tenant list: unique non-empty names, resolvable

@@ -288,6 +288,9 @@ func TestServeSingleTenantStreamUnchanged(t *testing.T) {
 	}
 }
 
+// TestParseTenantSpecs: the spec's tenant list decodes, and every invalid
+// list — bad names, workloads, rates, shares or QoS, unknown keys, trailing
+// data, a non-array — fails the whole spec.
 func TestParseTenantSpecs(t *testing.T) {
 	t.Parallel()
 	valid := `[
@@ -295,11 +298,11 @@ func TestParseTenantSpecs(t *testing.T) {
 	  "qos":{"metric":"hit_ratio","target":0.7}},
 	 {"name":"b","workload":"memtier","seed":2,"rate":5e5,"share":0.25}
 	]`
-	specs, err := serve.ParseTenantSpecs([]byte(valid))
+	spec, err := serve.ParseSpec(tenantSpecDoc([]byte(valid)))
 	if err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	if len(specs) != 2 || specs[0].Name != "a" || specs[1].RatePerSec != 5e5 {
+	if specs := spec.Tenants; len(specs) != 2 || specs[0].Name != "a" || specs[1].RatePerSec != 5e5 {
 		t.Fatalf("parsed specs = %+v", specs)
 	}
 
@@ -318,7 +321,7 @@ func TestParseTenantSpecs(t *testing.T) {
 		"not an array":     `{"name":"a"}`,
 	}
 	for name, in := range bad {
-		if _, err := serve.ParseTenantSpecs([]byte(in)); err == nil {
+		if _, err := serve.ParseSpec(tenantSpecDoc([]byte(in))); err == nil {
 			t.Errorf("%s: accepted %s", name, in)
 		}
 	}
