@@ -129,7 +129,7 @@ test-scenario:
 
 # Ratcheted coverage floors for the packages the test subsystem hardens.
 # Raise a floor when coverage grows; never lower one.
-COVER_FLOORS := ./internal/gmm:90 ./internal/serve:91 ./internal/stats:95 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:95 ./internal/linalg:96 ./internal/policy:86
+COVER_FLOORS := ./internal/gmm:90 ./internal/serve:91 ./internal/stats:95 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:95 ./internal/linalg:97 ./internal/policy:86
 cover:
 	@fail=0; \
 	for spec in $(COVER_FLOORS); do \

@@ -1,9 +1,6 @@
 package gmm
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // The log-sum-exp below skips the exps that cannot change a bit of the sum.
 // TestExpCutoffs checks both bounds against math.Exp on the running platform.
@@ -43,25 +40,14 @@ func logSumExp(ld []float64, maxLog float64) float64 {
 	return maxLog + math.Log(sum)
 }
 
-// logScore scores one point through the candidate grid: it evaluates only
-// the set bits of the point's cell mask, in ascending component order, into
-// ld (at least K long), then runs the log-sum-exp over them. Every dropped
-// component is certified to be an exact zero below the maximum, which the
-// dense sum skips too, so the result has the bits of LogScore.
+// logScore scores one point through the candidate grid: the batch kernel
+// evaluates only the set bits of the point's cell mask, in ascending
+// component order, into ld (at least K long), then the log-sum-exp runs over
+// them. Every dropped component is certified to be an exact zero below the
+// maximum, which the dense sum skips too, so the result has the bits of
+// LogScore.
 func (b *bundle) logScore(x, y float64, ld []float64) float64 {
-	terms, scale := b.terms, b.scale
-	maxLog := math.Inf(-1)
-	n := 0
-	for w, word := range b.grid.candidates(x, y) {
-		for ; word != 0; word &= word - 1 {
-			v := terms[w<<6|bits.TrailingZeros64(word)].logDensity(scale, x, y)
-			ld[n] = v
-			n++
-			if v > maxLog {
-				maxLog = v
-			}
-		}
-	}
+	n, maxLog := b.logDensities(ld, b.grid.candidates(x, y), x, y)
 	return logSumExp(ld[:n], maxLog)
 }
 

@@ -1,63 +1,61 @@
 package gmm
 
-// term is one component's scoring constants: the mean coordinates, the
-// precision-matrix entries and the log coefficient, the six words per
-// Gaussian of the FPGA weight buffer. The pad rounds a term up to 64 bytes:
-// Go's allocator places a slice of them on a 64-byte boundary, so the
-// candidate kernel, which gathers terms by component index, reads one cache
-// line per term.
-type term struct {
-	meanX, meanY  float64
-	pxx, pxy, pyy float64
-	logCoef       float64
-	_             [2]float64
-}
+import "repro/internal/linalg"
 
-// logDensity is the term's log-density at (x, y): logCoef + scale·q with the
-// quadratic-form expression shape of Sym2.QuadForm. scale is -0.5 for a
-// float model's bundle, where logCoef + (-0.5)·q has the bits of
-// Component.LogDensity's logCoef - 0.5·q, and 1 for a quantized one's, whose
-// precision entries fold the -1/2, so it has the bits of
-// QuantizedModel.logDensity.
-func (t *term) logDensity(scale, x, y float64) float64 {
-	dx := x - t.meanX
-	dy := y - t.meanY
-	q := dx*dx*t.pxx + 2*dx*dy*t.pxy + dy*dy*t.pyy
-	return t.logCoef + scale*q
-}
-
-// bundle is the packed scoring form of a prepared model: its terms, the
-// scale that turns their quadratic forms into log-densities, and the
-// candidate grid certified for exactly these constants. It is built once per
-// installed model (New, RestoreModel, the end of Fit, Quantize) and is
-// immutable afterwards, so shard goroutines score through it without
-// synchronisation.
+// bundle is the packed scoring form of a prepared model: its terms, their
+// layout, and the candidate grid certified for exactly these constants. It
+// is built once per installed model (New, RestoreModel, the end of Fit,
+// Quantize) and is immutable afterwards, so shard goroutines score through
+// it without synchronisation.
 type bundle struct {
-	terms []term
-	scale float64
-	grid  grid
+	terms []linalg.Term
+	// folded says the terms' precision entries fold the -1/2 exponent
+	// factor, a quantized model's layout: their log-density is LogCoef + q,
+	// not LogCoef - 0.5·q.
+	folded bool
+	grid   grid
 }
 
 // rebuildBundle packs the prepared components into the scoring bundle and
 // certifies its candidate grid.
 func (m *Model) rebuildBundle() {
-	terms := make([]term, len(m.Components))
+	terms := make([]linalg.Term, len(m.Components))
 	for i := range m.Components {
 		c := &m.Components[i]
-		terms[i] = term{
-			meanX: c.Mean.X, meanY: c.Mean.Y,
-			pxx: c.precision.XX, pxy: c.precision.XY, pyy: c.precision.YY,
-			logCoef: c.logCoef,
+		terms[i] = linalg.Term{
+			MeanX: c.Mean.X, MeanY: c.Mean.Y,
+			PXX: c.precision.XX, PXY: c.precision.XY, PYY: c.precision.YY,
+			LogCoef: c.logCoef,
 		}
 	}
-	m.bundle = newBundle(terms, -0.5)
+	m.bundle = newBundle(terms, false)
 }
 
-// newBundle wraps terms at the given scale and builds their candidate grid.
-func newBundle(terms []term, scale float64) bundle {
-	b := bundle{terms: terms, scale: scale}
-	b.grid = buildGrid(terms, scale)
+// newBundle wraps terms in the given layout and builds their candidate grid.
+func newBundle(terms []linalg.Term, folded bool) bundle {
+	b := bundle{terms: terms, folded: folded}
+	b.grid = buildGrid(terms, b.scale())
 	return b
+}
+
+// scale is the factor that turns a term's quadratic form into its
+// log-density: 1 for folded terms, -0.5 otherwise.
+func (b *bundle) scale() float64 {
+	if b.folded {
+		return 1
+	}
+	return -0.5
+}
+
+// logDensities is the batch kernel for the bundle's layout: it writes the
+// log-densities at (x, y) of the terms mask selects to dst and returns their
+// count and maximum. Float terms have the bits of Component.LogDensity,
+// folded ones those of QuantizedModel.logDensity.
+func (b *bundle) logDensities(dst []float64, mask []uint64, x, y float64) (int, float64) {
+	if b.folded {
+		return linalg.FoldedLogDensityBatch(dst, b.terms, mask, x, y)
+	}
+	return linalg.LogDensityBatch(dst, b.terms, mask, x, y)
 }
 
 // Scratch is caller-owned scoring scratch for the batch kernel: one point's

@@ -1,6 +1,10 @@
 package gmm
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/linalg"
+)
 
 // The candidate grid splits the normalized unit square, the box
 // trace.FitNormalizer maps training data onto, into gridPages × gridTimes
@@ -88,17 +92,17 @@ const (
 // scale of the exact one, whatever cancellation AC − B² suffers. 1e-10 is
 // over 10^5 times those errors; the 2 nats absorb the rounding of the
 // difference d = term − max that negligible finally compares to expZeroCut.
-func certify(t *term, scale float64) certificate {
-	a, b, c := scale*t.pxx, scale*t.pxy, scale*t.pyy
-	f := max(math.Abs(t.meanX), math.Abs(1-t.meanX), math.Abs(t.meanY), math.Abs(1-t.meanY))
+func certify(t *linalg.Term, scale float64) certificate {
+	a, b, c := scale*t.PXX, scale*t.PXY, scale*t.PYY
+	f := max(math.Abs(t.MeanX), math.Abs(1-t.MeanX), math.Abs(t.MeanY), math.Abs(1-t.MeanY))
 	size := f * f * (math.Abs(a) + 2*math.Abs(b) + math.Abs(c))
 	if !(size <= certMax) { // also false for NaN constants
 		return certificate{}
 	}
-	if math.IsInf(t.logCoef, -1) {
+	if math.IsInf(t.LogCoef, -1) {
 		return certificate{kind: certDead}
 	}
-	if !(math.Abs(t.logCoef) <= certMax) {
+	if !(math.Abs(t.LogCoef) <= certMax) {
 		return certificate{}
 	}
 	det := a*c - b*b
@@ -113,7 +117,7 @@ func certify(t *term, scale float64) certificate {
 		kind:   certConcave,
 		kx:     kx,
 		ky:     ky,
-		margin: 2 + 1e-10*(math.Abs(t.logCoef)+size),
+		margin: 2 + 1e-10*(math.Abs(t.LogCoef)+size),
 	}
 }
 
@@ -136,7 +140,7 @@ func axisDistance(mean, lo, hi float64) float64 {
 // term takes its minimum over a box at a corner. The maximum term at any
 // point of the cell is then at least L, so a term whose bound plus margin
 // stays below L + expZeroCut − margin(L) is an exact zero there.
-func buildGrid(terms []term, scale float64) grid {
+func buildGrid(terms []linalg.Term, scale float64) grid {
 	k := len(terms)
 	g := grid{words: (k + 63) / 64}
 	g.masks = make([]uint64, (gridCells+1)*g.words)
@@ -156,7 +160,7 @@ func buildGrid(terms []term, scale float64) grid {
 	for j := 0; j < gridTimes; j++ {
 		y0, y1 := float64(j)/gridTimes, float64(j+1)/gridTimes
 		for c := range terms {
-			dy := axisDistance(terms[c].meanY, y0, y1)
+			dy := axisDistance(terms[c].MeanY, y0, y1)
 			rows[j*k+c] = dy * dy * certs[c].ky
 		}
 	}
@@ -165,7 +169,7 @@ func buildGrid(terms []term, scale float64) grid {
 	for i := 0; i < gridPages; i++ {
 		x0, x1 := float64(i)/gridPages, float64(i+1)/gridPages
 		for c := range terms {
-			dx := axisDistance(terms[c].meanX, x0, x1)
+			dx := axisDistance(terms[c].MeanX, x0, x1)
 			cols[c] = dx * dx * certs[c].kx
 		}
 		for j := 0; j < gridTimes; j++ {
@@ -176,7 +180,7 @@ func buildGrid(terms []term, scale float64) grid {
 				if certs[c].kind != certConcave {
 					continue
 				}
-				bounds[c] = terms[c].logCoef + min(cols[c], row[c])
+				bounds[c] = terms[c].LogCoef + min(cols[c], row[c])
 				if bounds[c] > bestBound {
 					best, bestBound = c, bounds[c]
 				}
@@ -187,8 +191,8 @@ func buildGrid(terms []term, scale float64) grid {
 				continue
 			}
 			t := &terms[best]
-			lower := min(t.logDensity(scale, x0, y0), t.logDensity(scale, x1, y0),
-				t.logDensity(scale, x0, y1), t.logDensity(scale, x1, y1))
+			lower := min(t.LogDensity(scale, x0, y0), t.LogDensity(scale, x1, y0),
+				t.LogDensity(scale, x0, y1), t.LogDensity(scale, x1, y1))
 			cut := lower + expZeroCut - certs[best].margin
 			for c := range terms {
 				switch certs[c].kind {

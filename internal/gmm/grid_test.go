@@ -40,7 +40,7 @@ func checkGridSound(t *testing.T, name string, b *bundle) {
 					x, y := (float64(i)+fx)/gridPages, (float64(j)+fy)/gridTimes
 					maxLog := math.Inf(-1)
 					for c := range b.terms {
-						ld[c] = b.terms[c].logDensity(b.scale, x, y)
+						ld[c] = b.terms[c].LogDensity(b.scale(), x, y)
 						if ld[c] > maxLog {
 							maxLog = ld[c]
 						}
@@ -124,7 +124,7 @@ func BenchmarkCandidateGridBuildK256(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	terms, scale := f.m.bundle.terms, f.m.bundle.scale
+	terms, scale := f.m.bundle.terms, f.m.bundle.scale()
 	for b.Loop() {
 		buildGrid(terms, scale)
 	}

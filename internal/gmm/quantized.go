@@ -118,22 +118,22 @@ func Quantize(m *Model) (*QuantizedModel, QuantReport) {
 // rebuildDQ packs the dequantized constants into the scoring bundle and
 // certifies its candidate grid, once every constant is filled in.
 func (q *QuantizedModel) rebuildDQ() {
-	terms := make([]term, q.K())
+	terms := make([]linalg.Term, q.K())
 	for i := range terms {
-		terms[i] = term{
-			meanX: fromQ(q.MeanX[i]), meanY: fromQ(q.MeanY[i]),
-			pxx: fromQ(q.PrecXX[i]), pxy: fromQ(q.PrecXY[i]), pyy: fromQ(q.PrecYY[i]),
-			logCoef: fromQ(q.LogCoef[i]),
+		terms[i] = linalg.Term{
+			MeanX: fromQ(q.MeanX[i]), MeanY: fromQ(q.MeanY[i]),
+			PXX: fromQ(q.PrecXX[i]), PXY: fromQ(q.PrecXY[i]), PYY: fromQ(q.PrecYY[i]),
+			LogCoef: fromQ(q.LogCoef[i]),
 		}
 	}
-	q.dq = newBundle(terms, 1)
+	q.dq = newBundle(terms, true)
 }
 
 // K returns the number of components.
 func (q *QuantizedModel) K() int { return len(q.MeanX) }
 
 // logDensity is component i's exponent at (x, y): logCoef + the folded
-// quadratic form. The expression shape matches term.logDensity at scale 1
+// quadratic form. The expression shape matches linalg.FoldedLogDensityBatch
 // exactly, so per-point and batched quantized scoring are bit-identical.
 func (q *QuantizedModel) logDensity(i int, x, y float64) float64 {
 	dx := x - fromQ(q.MeanX[i])

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,6 +85,26 @@ func TestParseSpecFieldPathErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.path) {
 			t.Errorf("%s: error %q does not carry field path %q", name, err, tc.path)
 		}
+	}
+}
+
+// TestParseTenantSpecsFieldPath is the regression test for the strict
+// tenant decoder: inside an otherwise valid spec, a typo'd tenant key must
+// be rejected with its full path, not a bare field name (and never silently
+// ignored).
+func TestParseTenantSpecsFieldPath(t *testing.T) {
+	t.Parallel()
+	const tenants = `[{"name":"a","workload":"dlrm","rate":1e6,"share":0.5},
+		  {"name":"b","workload":"dlrm","rate":1e6,"share":0.5%s}]`
+	if _, err := serve.ParseSpec(tenantSpecDoc(fmt.Appendf(nil, tenants, ""))); err != nil {
+		t.Fatalf("spec without the typo rejected: %v", err)
+	}
+	_, err := serve.ParseSpec(tenantSpecDoc(fmt.Appendf(nil, tenants, `,"sahre":0.5`)))
+	if err == nil {
+		t.Fatal("typo'd tenant key accepted")
+	}
+	if !strings.Contains(err.Error(), "spec.tenants[1].sahre") {
+		t.Errorf("error %q does not carry the field path", err)
 	}
 }
 
