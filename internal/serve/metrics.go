@@ -122,10 +122,11 @@ type Snapshot struct {
 func (s *Snapshot) HitRatio() float64 { return s.Cache.HitRate() }
 
 // Snapshot merges per-partition state, in partition order, into the
-// aggregate view. Safe to call between batches (never concurrently with
-// Run).
+// aggregate view. Safe to call between batches, never concurrently with Run
+// or with another Snapshot: it merges into the service's reused histograms.
 func (s *Service) Snapshot() *Snapshot {
-	agg := stats.DefaultLatencyHistogram()
+	agg := &s.snapHists[0]
+	agg.Reset()
 	snap := &Snapshot{
 		Batches:         s.batches,
 		Refreshes:       s.refresher.installed,
@@ -230,10 +231,11 @@ func (s *Service) shadowCounters(ti int) (ops, hits uint64, latSumNs int64) {
 func (s *Service) tenantSnapshots() []TenantSnapshot {
 	out := make([]TenantSnapshot, len(s.tenants))
 	for ti, t := range s.tenants {
-		hist := stats.DefaultLatencyHistogram()
-		cxlH := stats.DefaultLatencyHistogram()
-		hbmH := stats.DefaultLatencyHistogram()
-		ssdH := stats.DefaultLatencyHistogram()
+		hist, cxlH, hbmH, ssdH := &s.snapHists[1], &s.snapHists[2], &s.snapHists[3], &s.snapHists[4]
+		hist.Reset()
+		cxlH.Reset()
+		hbmH.Reset()
+		ssdH.Reset()
 		ts := TenantSnapshot{
 			Tenant:    t.spec.Name,
 			Threshold: t.threshold,

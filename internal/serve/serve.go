@@ -411,6 +411,11 @@ type Service struct {
 	// read-side, so it never affects the deterministic output.
 	obs func(Event)
 
+	// snapHists are Snapshot's merge targets, reset and reused on every call
+	// so a snapshot allocates no bucket storage: the aggregate latency, then
+	// one tenant's sojourn, link, hit and miss latencies.
+	snapHists [5]stats.Histogram
+
 	intervalThroughput stats.Welford
 	lastIntervalOps    uint64
 	lastMakespan       int64

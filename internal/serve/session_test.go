@@ -355,6 +355,46 @@ func TestSessionStepDoneMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsRepeatable: Metrics merges into histograms the service reuses,
+// so no snapshot may depend on an earlier one. Two calls in a row agree, and
+// a session that took a snapshot after every batch ends with the same final
+// snapshot as one that took none.
+func TestMetricsRepeatable(t *testing.T) {
+	t.Parallel()
+	spec := smallSessionSpec(t)
+	watched, err := serve.Open(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := serve.Open(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !watched.Done() {
+		if _, err := watched.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		first, second := watched.Metrics(), watched.Metrics()
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("batch %d: back-to-back snapshots differ:\n%+v\n%+v", watched.Batches(), first, second)
+		}
+	}
+	want, err := plain.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := watched.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("final snapshot after per-batch snapshots differs:\n%+v\nwant %+v", got, want)
+	}
+	if len(got.Tenants) != 2 || got.Tenants[0].Latency.Count == 0 || got.Tenants[1].SSD.Count == 0 {
+		t.Fatalf("final snapshot lacks the tenant latencies this test reuses targets across: %+v", got.Tenants)
+	}
+}
+
 // TestResumeRejectsCorruptCheckpoints: a checkpoint whose state disagrees
 // with the spec it carries (or with itself) must fail to resume with an
 // error, never produce a silently-wrong session.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -201,6 +202,48 @@ func TestHistogramPercentileErrorBound(t *testing.T) {
 		}
 		if got := h.Percentile(math.NaN()); got != 0 {
 			t.Fatalf("iter %d (%s): Percentile(NaN) = %d, want 0", iter, d.name, got)
+		}
+	}
+}
+
+// TestHistogramResetReuse: a histogram reset and reused as a merge target,
+// the way Service.Snapshot and the controller reuse theirs, answers exactly
+// like a fresh one. Merge touches only the buckets between a source's minimum
+// and maximum, so the sources span random octave ranges (negative samples
+// included) below, above and across the target's storage, and Reset must
+// leave every bucket zero.
+func TestHistogramResetReuse(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(13))
+	var reused Histogram
+	for iter := 0; iter < 500; iter++ {
+		reused.Reset()
+		for i, c := range reused.counts {
+			if c != 0 {
+				t.Fatalf("iter %d: reset left bucket %d = %d", iter, i, c)
+			}
+		}
+		fresh := DefaultLatencyHistogram()
+		for n := rng.Intn(4); n > 0; n-- {
+			h := DefaultLatencyHistogram()
+			base := int64(1) << rng.Intn(36)
+			for k := rng.Intn(50); k > 0; k-- {
+				v := base + rng.Int63n(4*base)
+				if rng.Intn(20) == 0 {
+					v = -v
+				}
+				h.Observe(v)
+			}
+			fresh.Merge(h)
+			reused.Merge(h)
+		}
+		if reused.acc != fresh.acc || !reflect.DeepEqual(reused.State(), fresh.State()) {
+			t.Fatalf("iter %d: reused target %+v differs from fresh %+v", iter, reused.State(), fresh.State())
+		}
+		for _, p := range []float64{1, 50, 99} {
+			if got, want := reused.Percentile(p), fresh.Percentile(p); got != want {
+				t.Fatalf("iter %d: p%v = %d, fresh target says %d", iter, p, got, want)
+			}
 		}
 	}
 }

@@ -70,11 +70,17 @@ func (h *Histogram) State() HistogramState {
 // RestoreState replaces the histogram's contents with the exported state. It
 // rejects bucket indices outside the geometry, empty bucket entries (State
 // never writes one) and bucket counts that do not sum to the sample count, so
-// an accepted state exports back unchanged.
+// an accepted state exports back unchanged. It also rejects a minimum above
+// the maximum and buckets outside the range the two span, or missing either
+// of them, since Merge and Percentile read only that range.
 func (h *Histogram) RestoreState(s HistogramState) error {
 	if s.Acc.Count < 0 {
 		return errors.New("stats: histogram state with a negative sample count")
 	}
+	if s.Acc.Count > 0 && s.Acc.Min > s.Acc.Max {
+		return errors.New("stats: histogram state with its minimum above its maximum")
+	}
+	lo, hi := bucketIndex(s.Acc.Min), bucketIndex(s.Acc.Max)
 	left, top := uint64(s.Acc.Count), -1
 	for i, c := range s.Buckets {
 		switch {
@@ -84,12 +90,17 @@ func (h *Histogram) RestoreState(s HistogramState) error {
 			return errors.New("stats: histogram state with an empty bucket entry")
 		case c > left:
 			return errors.New("stats: histogram state bucket counts exceed its sample count")
+		case i < lo || i > hi:
+			return errors.New("stats: histogram state bucket outside its minimum and maximum")
 		}
 		left -= c
 		top = max(top, i)
 	}
 	if left != 0 {
 		return errors.New("stats: histogram state bucket counts fall short of its sample count")
+	}
+	if s.Acc.Count > 0 && (s.Buckets[lo] == 0 || s.Buckets[hi] == 0) {
+		return errors.New("stats: histogram state without its minimum's or maximum's bucket")
 	}
 	h.Reset()
 	if top >= len(h.counts) {

@@ -61,6 +61,13 @@ func TestHistogramStateRoundTrip(t *testing.T) {
 		"negative count":        {Acc: AccumulatorState{Count: -1}},
 		// Counts whose sum wraps around uint64 to the sample count.
 		"overflowing counts": {Buckets: map[int]uint64{5: math.MaxUint64, 9: 2}, Acc: AccumulatorState{Count: 1}},
+		// Every sample lies between the minimum and the maximum, and both
+		// are samples: Merge and Percentile read only that range.
+		"bucket below minimum":  {Buckets: map[int]uint64{5: 1, 6: 1, 70: 1}, Acc: AccumulatorState{Count: 3, Sum: 81, Min: 6, Max: 70}},
+		"bucket above maximum":  {Buckets: map[int]uint64{6: 1, 70: 1, 80: 1}, Acc: AccumulatorState{Count: 3, Sum: 156, Min: 6, Max: 70}},
+		"minimum missing":       {Buckets: map[int]uint64{10: 1, 70: 1}, Acc: AccumulatorState{Count: 2, Sum: 80, Min: 6, Max: 70}},
+		"maximum missing":       {Buckets: map[int]uint64{6: 1, 60: 1}, Acc: AccumulatorState{Count: 2, Sum: 66, Min: 6, Max: 70}},
+		"minimum above maximum": {Buckets: map[int]uint64{6: 1}, Acc: AccumulatorState{Count: 1, Sum: 6, Min: 7, Max: 6}},
 	}
 	for name, st := range bad {
 		if err := DefaultLatencyHistogram().RestoreState(st); err == nil {
@@ -108,6 +115,21 @@ func FuzzHistogramState(f *testing.F) {
 		}
 		for _, p := range []float64{0, 1, 50, 99, 100} {
 			h.Percentile(p)
+		}
+		if st.Acc.Count == 0 {
+			return
+		}
+		// Merging the state into a fresh histogram, and into a reset one
+		// whose storage is longer, reproduces its buckets.
+		var fresh, reused Histogram
+		reused.Observe(1 << 40)
+		reused.Observe(-1)
+		reused.Reset()
+		for _, m := range []*Histogram{&fresh, &reused} {
+			m.Merge(&h)
+			if got := m.State().Buckets; !reflect.DeepEqual(got, st.Buckets) {
+				t.Fatalf("merged buckets %v, want %v", got, st.Buckets)
+			}
 		}
 	})
 }

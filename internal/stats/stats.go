@@ -173,6 +173,15 @@ func (h *Histogram) grow(i int) {
 	h.counts = append(h.counts, make([]uint64, n-len(h.counts))...)
 }
 
+// occupied returns the bucket range [lo, hi] of a non-empty histogram: the
+// buckets of its exact minimum and maximum. Every sample lies in it and every
+// count outside it is zero, so Merge and Percentile touch only this range.
+// It is often far narrower than the storage, which starts at bucket 0: a
+// serving run's link-latency histogram fills one bucket of 256.
+func (h *Histogram) occupied() (lo, hi int) {
+	return bucketIndex(h.acc.min), bucketIndex(h.acc.max)
+}
+
 // Merge folds other into h: bucket counts add, and the accumulator merge is
 // exact (integer sums and counts). Merging per-shard histograms therefore
 // gives the same aggregate in any order — the property the serving
@@ -181,11 +190,13 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.acc.count == 0 {
 		return
 	}
-	if n := len(other.counts); n > len(h.counts) {
-		h.grow(n - 1)
+	lo, hi := other.occupied()
+	if hi >= len(h.counts) {
+		h.grow(hi)
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	dst := h.counts[lo : hi+1]
+	for i, c := range other.counts[lo : hi+1] {
+		dst[i] += c
 	}
 	if h.acc.count == 0 || other.acc.min < h.acc.min {
 		h.acc.min = other.acc.min
@@ -235,11 +246,12 @@ func (h *Histogram) Percentile(p float64) int64 {
 		return h.acc.max
 	}
 	rank := uint64(math.Ceil(p / 100 * float64(h.acc.count)))
+	lo, hi := h.occupied()
 	var seen uint64
-	for i, c := range h.counts {
+	for i, c := range h.counts[lo : hi+1] {
 		seen += c
 		if seen >= rank {
-			return min(max(bucketMid(i), h.acc.min), h.acc.max)
+			return min(max(bucketMid(lo+i), h.acc.min), h.acc.max)
 		}
 	}
 	return h.acc.max
