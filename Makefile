@@ -145,16 +145,17 @@ cover:
 	done; \
 	rm -f cover.tmp.out cover.tmp.log; exit $$fail
 
-# Fuzz smoke: 20 seconds per target against the trace CSV parser, the
-# spec's tenant list, the declarative run-spec wire format, the spec's
-# device-timing block, the scenario/clients/shadow blocks, the Q16.16
-# quantizer's batch/scalar parity contract, the sparse log-sum-exp's
-# bit-identity with the dense sum, the candidate-grid kernel's bit-identity
-# with the dense sum over every component, and the checkpoint's histogram
-# state decoder. -run='^$$' skips the unit tests so the time budget goes
+# Fuzz smoke: 20 seconds per target against the trace CSV record parser,
+# the whole-file CSV reader's write/read round trip, the spec's tenant
+# list, the declarative run-spec wire format, the spec's device-timing
+# block, the scenario/clients/shadow blocks, the Q16.16 quantizer's
+# batch/scalar parity contract, the sparse log-sum-exp's bit-identity with
+# the dense sum, the candidate-grid kernel's bit-identity with the dense
+# sum over every component, and the checkpoint's histogram state decoder. -run='^$$' skips the unit tests so the time budget goes
 # entirely to fuzzing.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzParseRecord -fuzztime=20s
+	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReadCSV -fuzztime=20s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzTenantSpec -fuzztime=20s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzServeSpec -fuzztime=20s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDeviceSpec -fuzztime=20s

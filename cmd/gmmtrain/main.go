@@ -92,7 +92,7 @@ func run(inPath, format, out string, k, iters int, tol float64, seed int64, maxS
 		}
 	}
 	fmt.Fprintf(os.Stderr,
-		"trained K=%d on %d samples: %d iterations, converged=%v, mean log-likelihood %.4f\n",
+		"trained K=%d on %d samples: %d iterations, converged=%v, mean log-likelihood entering the last iteration %.4f\n",
 		res.Model.K(), res.SamplesUsed, res.Iters, res.Converged, res.LogLikelihood)
 
 	w := os.Stdout

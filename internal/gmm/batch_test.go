@@ -214,16 +214,30 @@ type fittedDLRM struct {
 	pages, times []float64
 }
 
-func fitDLRM(k int) (fittedDLRM, error) {
+// dlrmTrainingSet is paper-dlrm's training set: serve's transform
+// (len_access_shot 2000) over 200,000 warm-up dlrm accesses, normalized.
+func dlrmTrainingSet() ([]trace.Sample, error) {
 	gen, err := workload.ByName("dlrm")
 	if err != nil {
-		return fittedDLRM{}, err
+		return nil, err
 	}
 	tcfg := trace.DefaultTransformConfig()
 	tcfg.LenAccessShot = 2000
 	samples := trace.Preprocess(gen.Generate(200_000, 1), tcfg)
-	normed := trace.FitNormalizer(samples).ApplyAll(samples)
-	res, err := Fit(normed, TrainConfig{K: k, Seed: 1, MaxIters: 8, MaxSamples: 10_000, Tol: 1e-12, Workers: 1})
+	return trace.FitNormalizer(samples).ApplyAll(samples), nil
+}
+
+// dlrmTrainConfig is paper-dlrm's training configuration at K components.
+func dlrmTrainConfig(k int) TrainConfig {
+	return TrainConfig{K: k, Seed: 1, MaxIters: 8, MaxSamples: 10_000, Tol: 1e-12, Workers: 1}
+}
+
+func fitDLRM(k int) (fittedDLRM, error) {
+	normed, err := dlrmTrainingSet()
+	if err != nil {
+		return fittedDLRM{}, err
+	}
+	res, err := Fit(normed, dlrmTrainConfig(k))
 	if err != nil {
 		return fittedDLRM{}, err
 	}

@@ -19,16 +19,22 @@ type bundle struct {
 // rebuildBundle packs the prepared components into the scoring bundle and
 // certifies its candidate grid.
 func (m *Model) rebuildBundle() {
-	terms := make([]linalg.Term, len(m.Components))
-	for i := range m.Components {
-		c := &m.Components[i]
+	m.bundle = newBundle(packTerms(m.Components), false)
+}
+
+// packTerms packs prepared components into batch-kernel terms, whose
+// LogDensity(-0.5, x, y) has the bits of Component.LogDensity.
+func packTerms(comps []Component) []linalg.Term {
+	terms := make([]linalg.Term, len(comps))
+	for i := range comps {
+		c := &comps[i]
 		terms[i] = linalg.Term{
 			MeanX: c.Mean.X, MeanY: c.Mean.Y,
 			PXX: c.precision.XX, PXY: c.precision.XY, PYY: c.precision.YY,
 			LogCoef: c.logCoef,
 		}
 	}
-	m.bundle = newBundle(terms, false)
+	return terms
 }
 
 // newBundle wraps terms in the given layout and builds their candidate grid.

@@ -86,9 +86,12 @@ type TrainResult struct {
 	// Converged reports whether the Tol criterion stopped training (as
 	// opposed to hitting MaxIters).
 	Converged bool
-	// LogLikelihood is the final mean log-likelihood of the training set.
+	// LogLikelihood is the last History entry: the mean log-likelihood of
+	// the model that entered the final iteration, one M-step behind Model.
 	LogLikelihood float64
-	// History holds the mean log-likelihood after each iteration.
+	// History holds, per iteration, the mean log-likelihood of the training
+	// set under the model entering that iteration's E-step, which computes
+	// it as a by-product.
 	History []float64
 	// SamplesUsed is the size of the (possibly subsampled) training set.
 	SamplesUsed int
@@ -125,77 +128,55 @@ func Fit(samples []trace.Sample, cfg TrainConfig) (*TrainResult, error) {
 	prevLL := math.Inf(-1)
 	runner := engine.NewRunner(cfg.Workers)
 	chunks := chunkRanges(len(points), emChunk)
+	n := float64(len(points))
 
 	for iter := 0; iter < cfg.MaxIters; iter++ {
-		// E-step: accumulate responsibility-weighted sufficient statistics,
-		// sharded over fixed point chunks. Chunk boundaries depend only on
-		// the point count, and the partials are reduced in chunk order below,
-		// so the accumulated statistics are independent of worker count.
+		// E-step: one pass over fixed point chunks. Chunk boundaries depend
+		// only on the point count, and the partials are reduced in chunk
+		// order below, so the statistics are independent of worker count.
+		terms := packTerms(model.Components)
 		partials, err := engine.Map(runner, chunks, func(_ int, c chunk) (*eStepStats, error) {
-			return eStep(model, points[c.lo:c.hi], k), nil
+			return eStep(terms, points[c.lo:c.hi]), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		ll := 0.0
-		nk := make([]float64, k)
-		meanSum := make([]linalg.Vec2, k)
-		for _, p := range partials {
-			ll += p.ll
-			for j := 0; j < k; j++ {
-				nk[j] += p.nk[j]
-				meanSum[j] = meanSum[j].Add(p.meanSum[j])
-			}
+		st := partials[0]
+		for _, p := range partials[1:] {
+			st.add(p)
 		}
 
-		// M-step part 1: means and weights.
-		n := float64(len(points))
-		for j := 0; j < k; j++ {
-			if nk[j] < 1e-10 {
+		// M-step: weights, and means and covariances from the moments
+		// around the means the E-step used.
+		for j := range model.Components {
+			c := &model.Components[j]
+			m := &st.moments[j]
+			if m.n < 1e-10 {
 				// Dead component: re-seed on a random point with a broad
 				// covariance so it can recapture mass.
-				model.Components[j].Mean = points[rng.Intn(len(points))]
-				model.Components[j].Weight = 1 / n
-				model.Components[j].Cov = linalg.SymDiag(0.05, 0.05)
+				c.Mean = points[rng.Intn(len(points))]
+				c.Weight = 1 / n
+				c.Cov = linalg.SymDiag(0.05, 0.05)
 				continue
 			}
-			model.Components[j].Weight = nk[j] / n
-			model.Components[j].Mean = meanSum[j].Scale(1 / nk[j])
-		}
-
-		// M-step part 2: covariances need the new means; the responsibility
-		// recomputation shards over the same chunks.
-		covParts, err := engine.Map(runner, chunks, func(_ int, c chunk) ([]linalg.Sym2, error) {
-			return covStep(model, points[c.lo:c.hi], k), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		covSum := make([]linalg.Sym2, k)
-		for _, p := range covParts {
-			for j := 0; j < k; j++ {
-				covSum[j] = covSum[j].Add(p[j])
-			}
-		}
-		for j := 0; j < k; j++ {
-			if nk[j] < 1e-10 {
-				continue
-			}
-			cov := covSum[j].Scale(1 / nk[j]).Regularize(cfg.CovReg)
+			c.Weight = m.n / n
+			delta := m.s.Scale(1 / m.n)
+			c.Mean = c.Mean.Add(delta)
+			cov := m.ss.Scale(1 / m.n).Sub(delta.OuterSelf()).Regularize(cfg.CovReg)
 			if cfg.DiagonalCov {
 				cov.XY = 0
 			}
 			if !cov.IsPositiveDefinite() {
 				cov = cov.Regularize(1e-3)
 			}
-			model.Components[j].Cov = cov
+			c.Cov = cov
 		}
-		renormalize(model)
-		if err := prepareAll(model); err != nil {
+		if model, err = newPrepared(model.Components); err != nil {
 			return nil, fmt.Errorf("gmm: iteration %d: %w", iter, err)
 		}
+		res.Model = model
 
-		meanLL := ll / n
+		meanLL := st.ll / n
 		res.History = append(res.History, meanLL)
 		res.Iters = iter + 1
 		res.LogLikelihood = meanLL
@@ -230,7 +211,7 @@ func FitTrace(t trace.Trace, tcfg trace.TransformConfig, cfg TrainConfig) (*Trai
 // pure function of the point count — never of the worker count — which is
 // what keeps chunked accumulation (and therefore the trained model)
 // bit-identical at any TrainConfig.Workers value. 2048 points keep a chunk's
-// working set (points + K responsibilities) well inside L2 while leaving
+// working set (points + K moments) well inside L2 while leaving
 // enough tasks to feed a worker pool on the 20k-sample default training set.
 const emChunk = 2048
 
@@ -250,49 +231,111 @@ func chunkRanges(n, size int) []chunk {
 	return out
 }
 
-// eStepStats are one chunk's responsibility-weighted sufficient statistics.
-type eStepStats struct {
-	ll      float64
-	nk      []float64
-	meanSum []linalg.Vec2
+// moments are one component's responsibility-weighted sums over a chunk,
+// taken around the mean c the E-step scored it with: n = Σr, s = Σr·(x−c)
+// and ss = Σr·(x−c)(x−c)ᵀ. The M-step reads the new mean as c + δ and the
+// covariance as ss/n − δδᵀ, with δ = s/n. Centring on c instead of the
+// origin limits the cancellation in ss/n − δδᵀ to about log2(1 + δ²/σ²)
+// bits per axis, where δ is one iteration's mean move, instead of
+// log2(1 + μ²/σ²).
+type moments struct {
+	n  float64
+	s  linalg.Vec2
+	ss linalg.Sym2
 }
 
-// eStep accumulates first-moment sufficient statistics over one point chunk.
-// It only reads the model, so chunks evaluate concurrently.
-func eStep(model *Model, points []linalg.Vec2, k int) *eStepStats {
-	st := &eStepStats{nk: make([]float64, k), meanSum: make([]linalg.Vec2, k)}
-	resp := make([]float64, k)
+// eStepStats are one chunk's log-likelihood sum and per-component moments.
+type eStepStats struct {
+	ll      float64
+	moments []moments
+}
+
+// add folds o into st, component by component.
+func (st *eStepStats) add(o *eStepStats) {
+	st.ll += o.ll
+	for j := range st.moments {
+		m, p := &st.moments[j], &o.moments[j]
+		m.n += p.n
+		m.s = m.s.Add(p.s)
+		m.ss = m.ss.Add(p.ss)
+	}
+}
+
+// eStep scores one point chunk against the packed terms and accumulates its
+// moments. It only reads the terms, so chunks evaluate concurrently.
+func eStep(terms []linalg.Term, points []linalg.Vec2) *eStepStats {
+	st := &eStepStats{moments: make([]moments, len(terms))}
+	p := newPosterior(len(terms))
 	for _, x := range points {
-		st.ll += model.Responsibilities(x, resp)
-		for j := 0; j < k; j++ {
-			r := resp[j]
-			if r == 0 {
-				continue
-			}
-			st.nk[j] += r
-			st.meanSum[j] = st.meanSum[j].Add(x.Scale(r))
+		st.ll += p.eval(terms, x.X, x.Y)
+		for n, j := range p.idx {
+			t, m := &terms[j], &st.moments[j]
+			d := linalg.V2(x.X-t.MeanX, x.Y-t.MeanY)
+			w := d.Scale(p.resp[n])
+			m.n += p.resp[n]
+			m.s = m.s.Add(w)
+			m.ss = m.ss.Add(linalg.Sym2{XX: w.X * d.X, XY: w.X * d.Y, YY: w.Y * d.Y})
 		}
 	}
 	return st
 }
 
-// covStep accumulates the second-moment statistics around the updated means
-// over one point chunk.
-func covStep(model *Model, points []linalg.Vec2, k int) []linalg.Sym2 {
-	covSum := make([]linalg.Sym2, k)
-	resp := make([]float64, k)
-	for _, x := range points {
-		model.Responsibilities(x, resp)
-		for j := 0; j < k; j++ {
-			r := resp[j]
-			if r == 0 {
-				continue
-			}
-			d := x.Sub(model.Components[j].Mean)
-			covSum[j] = covSum[j].Add(d.OuterSelf().Scale(r))
+// posterior is one point's E-step result, reused point after point: the
+// components whose responsibility is not cut to zero, in ascending order,
+// and their responsibilities.
+type posterior struct {
+	ld   []float64 // ld[j]: term j's log-density at the point
+	idx  []int     // the surviving components
+	resp []float64 // resp[n]: the responsibility of component idx[n]
+}
+
+func newPosterior(k int) *posterior {
+	return &posterior{ld: make([]float64, k), idx: make([]int, 0, k), resp: make([]float64, 0, k)}
+}
+
+// eval fills p with the responsibilities of the terms at (x, y) and returns
+// the point's log-density.
+func (p *posterior) eval(terms []linalg.Term, x, y float64) float64 {
+	maxLog := math.Inf(-1)
+	for j := range terms {
+		v := terms[j].LogDensity(-0.5, x, y)
+		p.ld[j] = v
+		if v > maxLog {
+			maxLog = v
 		}
 	}
-	return covSum
+	p.idx, p.resp = p.idx[:0], p.resp[:0]
+	if math.IsInf(maxLog, -1) {
+		// No component claims the point; spread responsibility uniformly.
+		u := 1 / float64(len(terms))
+		for j := range terms {
+			p.idx = append(p.idx, j)
+			p.resp = append(p.resp, u)
+		}
+		return maxLog
+	}
+	sum := 0.0
+	for j, v := range p.ld[:len(terms)] {
+		// The cut. The maximum term contributes exp(0) = 1, so sum >= 1,
+		// and a term with d < expTinyCut has a true responsibility below
+		// e^-37.5 ≈ 5.2e-17 < 2^-54, a quarter of an ulp of 1. Giving it
+		// exactly zero and skipping its exp drops at most K·2^-54 of the
+		// point's mass (1.4e-14 at K = 256): round-off, not a different
+		// model. A NaN d compares false and is never cut.
+		d := v - maxLog
+		if d < expTinyCut {
+			continue
+		}
+		e := math.Exp(d)
+		p.idx = append(p.idx, j)
+		p.resp = append(p.resp, e)
+		sum += e
+	}
+	inv := 1 / sum
+	for n := range p.resp {
+		p.resp[n] *= inv
+	}
+	return maxLog + math.Log(sum)
 }
 
 func subsample(points []linalg.Vec2, n int, rng *rand.Rand) []linalg.Vec2 {
@@ -340,30 +383,4 @@ func dataSpread(points []linalg.Vec2) float64 {
 		maxY = math.Max(maxY, p.Y)
 	}
 	return math.Max(maxX-minX, math.Max(maxY-minY, 1e-3))
-}
-
-func renormalize(m *Model) {
-	total := 0.0
-	for i := range m.Components {
-		total += m.Components[i].Weight
-	}
-	if total <= 0 {
-		u := 1 / float64(len(m.Components))
-		for i := range m.Components {
-			m.Components[i].Weight = u
-		}
-		return
-	}
-	for i := range m.Components {
-		m.Components[i].Weight /= total
-	}
-}
-
-func prepareAll(m *Model) error {
-	for i := range m.Components {
-		if err := m.Components[i].prepare(); err != nil {
-			return fmt.Errorf("component %d: %w", i, err)
-		}
-	}
-	return nil
 }

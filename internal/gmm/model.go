@@ -85,8 +85,9 @@ func New(components []Component) (*Model, error) {
 	return m, nil
 }
 
-// newPrepared is New without the scoring bundle: EM starts from it and
-// builds the bundle only for the model it returns.
+// newPrepared is New without the scoring bundle: EM builds its initial and
+// per-iteration models with it, and the bundle only for the model it
+// returns.
 func newPrepared(components []Component) (*Model, error) {
 	if len(components) == 0 {
 		return nil, errors.New("gmm: model needs at least one component")
@@ -144,37 +145,6 @@ func (m *Model) LogScore(x linalg.Vec2) float64 {
 		if d := m.Components[i].LogDensity(x) - maxLog; !negligible(d, sum) {
 			sum += math.Exp(d)
 		}
-	}
-	return maxLog + math.Log(sum)
-}
-
-// Responsibilities fills resp with the posterior probability of each
-// component for x (the E-step quantity), returning the log total density.
-// resp must have length K.
-func (m *Model) Responsibilities(x linalg.Vec2, resp []float64) float64 {
-	maxLog := math.Inf(-1)
-	for i := range m.Components {
-		resp[i] = m.Components[i].LogDensity(x)
-		if resp[i] > maxLog {
-			maxLog = resp[i]
-		}
-	}
-	if math.IsInf(maxLog, -1) {
-		// No component claims the point; spread responsibility uniformly.
-		u := 1 / float64(len(resp))
-		for i := range resp {
-			resp[i] = u
-		}
-		return maxLog
-	}
-	sum := 0.0
-	for i := range resp {
-		resp[i] = math.Exp(resp[i] - maxLog)
-		sum += resp[i]
-	}
-	inv := 1 / sum
-	for i := range resp {
-		resp[i] *= inv
 	}
 	return maxLog + math.Log(sum)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/linalg"
 )
@@ -96,49 +95,6 @@ func TestLogScoreUnderflowSafe(t *testing.T) {
 		if math.IsNaN(s) {
 			t.Error("Score produced NaN")
 		}
-	}
-}
-
-func TestResponsibilities(t *testing.T) {
-	m := twoBlobModel(t)
-	resp := make([]float64, m.K())
-	m.Responsibilities(linalg.V2(0, 0), resp)
-	if resp[0] < 0.999 {
-		t.Errorf("resp[0] = %v, want ~1 near blob 0", resp[0])
-	}
-	sum := resp[0] + resp[1]
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("responsibilities sum to %v", sum)
-	}
-	// Midpoint: symmetric responsibilities.
-	m.Responsibilities(linalg.V2(5, 5), resp)
-	if math.Abs(resp[0]-resp[1]) > 1e-9 {
-		t.Errorf("midpoint responsibilities %v not symmetric", resp)
-	}
-}
-
-// Property: responsibilities always form a probability vector.
-func TestResponsibilitiesSimplexProperty(t *testing.T) {
-	m := twoBlobModel(t)
-	f := func(x, y float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
-			return true
-		}
-		// Clamp magnitude to avoid degenerate all-underflow cases being
-		// handled by the uniform fallback (still a valid simplex).
-		resp := make([]float64, m.K())
-		m.Responsibilities(linalg.V2(math.Mod(x, 1e6), math.Mod(y, 1e6)), resp)
-		sum := 0.0
-		for _, r := range resp {
-			if r < 0 || r > 1 || math.IsNaN(r) {
-				return false
-			}
-			sum += r
-		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -32,12 +32,13 @@ func elasticSpec(t testing.TB, shards int) serve.Spec {
 
 // TestSessionGoldenAcrossCheckpoint extends the golden determinism contract
 // across a checkpoint boundary: the pinned 3-tenant elastic scenario is run
-// to batch 80, checkpointed, resumed into a fresh session (fresh Service,
+// to batch 72, checkpointed, resumed into a fresh session (fresh Service,
 // fresh caches, fresh streams — a process-equivalent restart), and the
 // concatenated JSONL must equal the committed golden byte stream at shards
-// 1, 2 and 8. The scenario's single share transfer (batch 88) lands in the
-// resumed half, so the controller's saturation/cooldown state provably
-// survives the boundary.
+// 1, 2 and 8. Batch 72 is the last control boundary before the scenario's
+// single share transfer (batch 80), so the transfer lands in the resumed
+// half and the controller's saturation/cooldown state provably survives
+// the boundary.
 func TestSessionGoldenAcrossCheckpoint(t *testing.T) {
 	t.Parallel()
 	golden, err := os.ReadFile(filepath.Join("testdata", "tenant_golden.jsonl"))
@@ -69,8 +70,8 @@ func TestSessionGoldenAcrossCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := sess.Step(80); err != nil || n != 80 {
-			t.Fatalf("shards=%d: Step(80) = %d, %v", shards, n, err)
+		if n, err := sess.Step(72); err != nil || n != 72 {
+			t.Fatalf("shards=%d: Step(72) = %d, %v", shards, n, err)
 		}
 		var ckpt bytes.Buffer
 		if err := sess.Checkpoint(&ckpt); err != nil {
@@ -83,8 +84,8 @@ func TestSessionGoldenAcrossCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: resume: %v", shards, err)
 		}
-		if got := resumed.Batches(); got != 80 {
-			t.Fatalf("shards=%d: resumed at batch %d, want 80", shards, got)
+		if got := resumed.Batches(); got != 72 {
+			t.Fatalf("shards=%d: resumed at batch %d, want 72", shards, got)
 		}
 		snap, err := resumed.Run()
 		if err != nil {

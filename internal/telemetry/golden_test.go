@@ -117,7 +117,7 @@ func runInstrumented(t *testing.T, shards int) (metrics, trace []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(sess, 80)
+	drive(sess, 72)
 	var ckpt bytes.Buffer
 	if err := sess.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
@@ -163,8 +163,9 @@ func checkTrace(t *testing.T, trace []byte) {
 		}
 		kinds[ev.Kind]++
 	}
-	// The elastic scenario drifts, refreshes, transfers one share (batch 88,
-	// in the resumed half), and we checkpointed once.
+	// The elastic scenario drifts, refreshes, transfers one share (batch 80,
+	// in the resumed half after the batch-72 checkpoint), and we
+	// checkpointed once.
 	for _, want := range []string{serve.EventDrift, serve.EventRefresh, serve.EventShare, serve.EventCheckpoint} {
 		if kinds[want] == 0 {
 			t.Errorf("trace has no %q events (kinds: %v)", want, kinds)
