@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-harness serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario cover fuzz-smoke fmt vet fmt-check ci
+.PHONY: build test race bench bench-json bench-harness smoke cover fuzz-smoke fmt vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -39,93 +39,26 @@ bench-json:
 bench-harness:
 	cd cmd/icgmm-bench && $(GO) vet . && $(GO) test .
 
-# Serving smoke: a short icgmm-serve run under the race detector, exercising
-# ingest, batched admission, a drift-triggered sync refresh, and JSONL
-# metrics end to end.
-serve-smoke:
-	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-smoke.json \
-		-out /dev/null
-
-# Multi-tenant suite: the tenant/controller/golden-determinism tests plus a
-# 3-tenant icgmm-serve smoke (per-tenant QoS, capacity shares, adaptive
-# controller) under the race detector.
-test-tenants:
-	$(GO) test ./internal/serve -run 'Tenant|Golden|ValidateWarmup' -race
-	$(GO) test ./internal/workload -run 'Mux' -race
-	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-tenants.json \
-		-out /dev/null
-
-# Elastic-share suite: the share-adaptation unit/property/golden tests plus a
-# 3-tenant icgmm-serve smoke whose mid-run working-set growth drives the
-# controller's capacity lever (share transfers + block migration) under the
-# race detector.
-test-shares:
-	$(GO) test ./internal/serve -run 'Share|Controller|ResidencyAudit|Golden' -race
-	$(GO) test ./internal/cache -run 'EvictAt|Victim' -race
-	$(GO) test ./internal/workload -run 'ShiftTo' -race
-	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-elastic.json \
-		-shards 4 -out /dev/null
-
-# Spec & Session suite: declarative-spec validation, round-trip and
-# field-path strictness tests, the checkpoint/resume golden (byte-identical
-# across a pause at shards 1/2/8) and every-batch-boundary property tests,
-# workload stream-state round trips — all under the race detector — plus an
-# icgmm-serve run driven entirely by the committed spec file.
-test-spec:
-	$(GO) test ./internal/serve -run 'Spec|Session|Checkpoint|Resume|RateDerived|RateFloor' -race
-	$(GO) test ./internal/workload -run 'State' -race
-	$(GO) test ./cmd/icgmm-serve -race
-	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-elastic.json \
-		-shards 4 -out /dev/null
-
-# Cluster suite: the coordinator/worker/protocol tests (golden byte-identity
-# across forced migration and forced kill+replay at shards 1/2/8) under the
-# race detector, then the icgmm-cluster binary driving the sample spec with
-# real spawned worker processes — one live migration, one SIGKILL'd worker —
-# and -verify byte-comparing every committed stream against an uninterrupted
-# in-process rerun.
-test-cluster:
-	$(GO) test ./internal/cluster ./internal/strictjson -race
-	$(GO) test ./cmd/icgmm-cluster -race
+# CLI smokes under the race detector: the committed icgmm-serve specs end to
+# end — ingest, admission, a drift-triggered sync refresh and JSONL metrics
+# (spec-smoke); three QoS tenants with capacity shares and the adaptive
+# controller (spec-tenants); mid-run working-set growth driving share
+# transfers and block migration (spec-elastic); host routing, the cxl link and
+# the fpga timeline (spec-dataflow); tenant churn, diurnal rates, a phase swap
+# and the shadow LSTM (spec-scenario) — then icgmm-cluster on the sample spec
+# with real spawned worker processes (one live migration, one SIGKILL'd
+# worker), -verify byte-comparing every committed stream against an
+# uninterrupted in-process rerun. The package tests behind these surfaces
+# (goldens at shards 1/2/8, checkpoint/resume, telemetry equivalence) all run
+# in `make race`.
+smoke:
+	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-smoke.json -out /dev/null
+	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-tenants.json -out /dev/null
+	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-elastic.json -shards 4 -out /dev/null
+	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-dataflow.json -shards 4 -out /dev/null
+	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-scenario.json -out /dev/null
 	$(GO) run -race ./cmd/icgmm-cluster -spec cmd/icgmm-cluster/testdata/cluster-sample.json \
 		-merged /dev/null -verify -v
-
-# Telemetry suite: the registry/trace/debug-server unit tests, the golden
-# determinism-equivalence tests (telemetry on, scraped live, must emit the
-# telemetry-off byte stream — serve at shards 1/2/8, cluster across faults),
-# and the CLI test that scrapes /metrics + /status from a live spec-driven
-# run mid-flight — all under the race detector.
-test-telemetry:
-	$(GO) test ./internal/telemetry -race
-	$(GO) test ./internal/serve -run 'MetricsSink' -race
-	$(GO) test ./internal/cluster -run 'Telemetry|WorkerDebug' -race
-	$(GO) test ./cmd/icgmm-serve -run 'TelemetryLiveScrape' -race
-
-# Device-timing suite: the fpga timeline / device model / cxl link unit
-# tests, the serve-path dataflow tests (committed golden at shards 1/2/8
-# with a mid-run checkpoint/resume, queue-depth QoS lever regression,
-# congestion events, flat-default byte-compatibility) under the race
-# detector, then an icgmm-serve smoke driven by the committed dataflow spec.
-test-device:
-	$(GO) test ./internal/fpga ./internal/device ./internal/cxl -race
-	$(GO) test ./internal/serve -run 'Dataflow|Device|QueueDepth|TimingKind' -race
-	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-dataflow.json \
-		-shards 4 -out /dev/null
-
-# Scenario suite: the timeline/event-engine unit tests, the closed-loop
-# client tests, the scenario golden (tenant churn + diurnal rates + phase
-# swap + shadow LSTM, byte-identical at shards 1/2/8 across a checkpoint
-# that straddles a leave and a join), the shadow no-live-effect and
-# closed-loop feedback tests, and the EWMA donor-headroom regression — all
-# under the race detector — then an icgmm-serve smoke driven by the
-# committed scenario spec.
-test-scenario:
-	$(GO) test ./internal/scenario -race
-	$(GO) test ./internal/lstm -race
-	$(GO) test ./internal/workload -run 'ClosedLoop|Mux' -race
-	$(GO) test ./internal/serve -run 'Scenario|Shadow|ClosedLoop|EWMA' -race
-	$(GO) run -race ./cmd/icgmm-serve -spec cmd/icgmm-serve/testdata/spec-scenario.json \
-		-out /dev/null
 
 # Ratcheted coverage floors for the packages the test subsystem hardens.
 # Raise a floor when coverage grows; never lower one.
@@ -177,4 +110,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet build race cover bench bench-harness serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario fuzz-smoke
+ci: fmt-check vet build race cover bench bench-harness smoke fuzz-smoke

@@ -43,7 +43,7 @@ func TestCLIRejectsBadSpec(t *testing.T) {
 // TestCLISampleRunsAndVerifies drives the committed sample spec — forced
 // migration and forced kill included — through the full command with
 // in-process workers, and lets -verify assert the byte-identity contract.
-// The spawned-process path is covered by the Makefile's test-cluster smoke
+// The spawned-process path is covered by the Makefile's `smoke` target
 // (it needs the built binary on disk).
 func TestCLISampleRunsAndVerifies(t *testing.T) {
 	if testing.Short() {

@@ -1,7 +1,7 @@
 // Command icgmm-serve runs the online serving subsystem: a sharded cache
 // service that models the ICGMM device under live open-loop traffic, with
-// batched GMM admission, per-partition cxl/hbm/ssd latency accounting, and
-// optional online model refresh when the hit ratio drifts.
+// GMM admission scored on misses, per-partition cxl/hbm/ssd latency
+// accounting, and optional online model refresh when the hit ratio drifts.
 //
 // Usage:
 //

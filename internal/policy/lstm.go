@@ -93,8 +93,10 @@ func (p *LSTMPolicy) Attach(numSets, ways int) {
 // shifts the observation window, mirroring the GMM engine's OnAccess.
 func (p *LSTMPolicy) OnAccess(req cache.Request) {
 	p.curTime = p.tt.Next()
-	np, nt := p.norm.ApplyPageTime(req.Page, p.curTime)
-	p.window[p.wpos] = []float64{np, nt}
+	// Overwrite the oldest row in place: State deep-copies the rows and
+	// RestoreState copies them back, so nothing outside the ring aliases it.
+	row := p.window[p.wpos]
+	row[0], row[1] = p.norm.ApplyPageTime(req.Page, p.curTime)
 	p.wpos = (p.wpos + 1) % len(p.window)
 	if p.wcount < len(p.window) {
 		p.wcount++

@@ -52,6 +52,21 @@ func TestLSTMPolicyBasicTraffic(t *testing.T) {
 	}
 }
 
+// TestLSTMPolicyOnAccessAllocs pins the window update at zero allocations:
+// every request shifts the ring, so a row allocated per request is the
+// shadow policy's per-request garbage.
+func TestLSTMPolicyOnAccessAllocs(t *testing.T) {
+	p := newTestLSTMPolicy(t, false, true, 0)
+	tinyCache(t, p)
+	var page uint64
+	if got := testing.AllocsPerRun(100, func() {
+		page++
+		p.OnAccess(cache.Request{Page: page})
+	}); got != 0 {
+		t.Errorf("OnAccess allocates %v per request, want 0", got)
+	}
+}
+
 func TestLSTMPolicyHitsSkipInference(t *testing.T) {
 	p := newTestLSTMPolicy(t, false, true, 0)
 	c := tinyCache(t, p)

@@ -18,6 +18,8 @@ import (
 type ctrlHarness struct {
 	svc *Service
 	out bytes.Buffer
+	// score is what every partition's policy scores its next miss at.
+	score float64
 }
 
 func newCtrlHarness(t *testing.T, specs []TenantSpec, budgets []int, cfg ControlConfig) *ctrlHarness {
@@ -47,6 +49,7 @@ func newCtrlHarness(t *testing.T, specs []TenantSpec, budgets []int, cfg Control
 			t.Fatal(err)
 		}
 		pol.bindCache(c)
+		pol.bindScorer(func(uint64) float64 { return h.score })
 		ten := make([]tenantPartStats, len(specs))
 		for i := range ten {
 			ten[i] = newTenantPartStats(true)
@@ -76,7 +79,8 @@ func (h *ctrlHarness) fill(t *testing.T, ti, n int) {
 	t.Helper()
 	for pi, p := range h.svc.parts {
 		for i := 0; i < n; i++ {
-			p.pol.Begin(ti, float64(i))
+			h.score = float64(i)
+			p.pol.Begin(ti)
 			if res := p.cache.Access(uint64(1000*ti+i), false); !res.Admitted {
 				t.Fatalf("partition %d: setup fill for tenant %d not admitted", pi, ti)
 			}

@@ -3,11 +3,15 @@ package serve
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/gmm"
 	"repro/internal/linalg"
+	"repro/internal/policy"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestScoringKindStrings(t *testing.T) {
@@ -199,6 +203,126 @@ func TestDrainBatchSteadyStateAllocs(t *testing.T) {
 				p.drainBatch(b)
 			}); got != 0 {
 				t.Errorf("drainBatch allocates %v per batch at steady state, want 0", got)
+			}
+		})
+	}
+}
+
+// countingScorer wraps a bundle's scorer and counts the points scored
+// through it. Partitions score on concurrent shard goroutines, so the count
+// is atomic.
+type countingScorer struct {
+	policy.ScratchBatchScorer
+	points atomic.Uint64
+}
+
+func (c *countingScorer) ScorePageTime(page, ts float64) float64 {
+	c.points.Add(1)
+	return c.ScratchBatchScorer.ScorePageTime(page, ts)
+}
+
+func (c *countingScorer) ScorePageTimeBatchScratch(pages, times, dst []float64, s *gmm.Scratch) {
+	c.points.Add(uint64(len(pages)))
+	c.ScratchBatchScorer.ScorePageTimeBatchScratch(pages, times, dst, s)
+}
+
+// TestScoresOnlyMisses pins the hardware dataflow of Sec. 3.2 with a count:
+// the GMM scores a request once if it misses the cache and never otherwise,
+// so the points scored equal the partitions' cache misses exactly. Hits and
+// host-routed requests are never scored. The runs cover flat timing,
+// dataflow timing with host-resident pages, two tenants at their budgets
+// (Admit's in-set self-replacement and cross-set release paths) and q16
+// scoring.
+func TestScoresOnlyMisses(t *testing.T) {
+	t.Parallel()
+	ws := func(center uint64) *workload.CustomConfig {
+		return &workload.CustomConfig{
+			Name: "miss-ws", TotalPages: 4096,
+			Clusters:  []workload.ClusterSpec{{CenterPage: center, Spread: 60}},
+			WriteFrac: 0.2,
+		}
+	}
+	solo := []TenantSpec{{Name: "solo", Custom: ws(600), Seed: 1, RatePerSec: 20e3, Share: 1}}
+	pair := []TenantSpec{
+		{Name: "alpha", Custom: ws(600), Seed: 1, RatePerSec: 12e3, Share: 0.5},
+		{Name: "beta", Custom: ws(2600), Seed: 2, RatePerSec: 8e3, OffsetPages: 1 << 16, Share: 0.5},
+	}
+	for _, tc := range []struct {
+		name    string
+		tenants []TenantSpec
+		edit    func(*Config)
+	}{
+		{"flat", solo, func(*Config) {}},
+		{"dataflow-host", solo, func(c *Config) {
+			c.Device.Timing = TimingDataflow
+			c.Device.HostPages = 600
+		}},
+		{"tenants-at-budget", pair, func(*Config) {}},
+		{"q16", solo, func(c *Config) { c.Scoring = ScoringQ16 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig()
+			cfg.Shards = 2
+			cfg.Partitions = 8
+			cfg.Cache = cache.Config{SizeBytes: 1 << 20, BlockBytes: trace.PageSize, Ways: 8}
+			cfg.Train = gmm.TrainConfig{K: 8, MaxIters: 10, Seed: 1, MaxSamples: 4000, LloydIters: 2}
+			cfg.Transform.LenAccessShot = 256
+			cfg.BatchSize = 1024
+			cfg.ReportEvery = 0
+			cfg.Tenants = tc.tenants
+			tc.edit(&cfg)
+			warm, err := NewTenantMux(cfg.Tenants)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := TrainBundle(warm.Trace(30_000), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counter := &countingScorer{ScratchBatchScorer: b.Scorer.(policy.ScratchBatchScorer)}
+			b.Scorer = counter
+			svc, err := New(cfg, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mux, err := NewTenantMux(cfg.Tenants)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Run(NewMuxSource(mux, 40_000)); err != nil {
+				t.Fatal(err)
+			}
+			var ops, hostOps, misses, evictions uint64
+			for _, p := range svc.parts {
+				ops += p.ops
+				hostOps += p.hostOps
+				st := p.cache.Stats()
+				misses += st.Misses
+				evictions += st.Evictions
+			}
+			if got := counter.points.Load(); got != misses {
+				t.Fatalf("scored %d points for %d cache misses (%d ops, %d host-routed)", got, misses, ops, hostOps)
+			}
+			// The count only means something when traffic mixes hits and
+			// misses — and, per run, reaches the path it is there for.
+			if misses == 0 || misses >= ops-hostOps {
+				t.Fatalf("traffic not mixed: %d misses of %d device-routed ops", misses, ops-hostOps)
+			}
+			if tc.name == "dataflow-host" && hostOps == 0 {
+				t.Fatal("no request was host-routed")
+			}
+			if tc.name == "tenants-at-budget" {
+				for pi, p := range svc.parts {
+					for ti := range tc.tenants {
+						if p.pol.Resident(ti) != p.pol.Budget(ti) {
+							t.Fatalf("partition %d tenant %d holds %d of its %d-block budget", pi, ti, p.pol.Resident(ti), p.pol.Budget(ti))
+						}
+					}
+				}
+				if evictions == 0 {
+					t.Fatal("no at-budget admission evicted a block")
+				}
 			}
 		})
 	}

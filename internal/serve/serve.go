@@ -1,12 +1,13 @@
 // Package serve is the online serving subsystem: a long-running, sharded
 // cache service that models the ICGMM device under live traffic instead of
 // the offline batch replay of internal/experiments. Requests from an
-// open-loop source are ingested in batches, miss-admission scores are
-// computed through the GMM's batched inference path, and every request is
-// routed through the cxl/hbm/ssd latency models of its address partition for
-// end-to-end service-time accounting. A background drift detector watches
-// the hit ratio and triggers a mini-batch EM refit whose result is
-// hot-swapped into the scoring path (see refresh.go).
+// open-loop source are ingested in batches, every request is routed through
+// the cxl/hbm/ssd latency models of its address partition for end-to-end
+// service-time accounting, and the GMM scores a request only when it misses
+// the cache — hits are served without inference, as in the hardware. A
+// background drift detector watches the hit ratio and triggers a mini-batch
+// EM refit whose result is hot-swapped into the scoring path (see
+// refresh.go).
 //
 // # Determinism
 //
@@ -102,8 +103,9 @@ type Config struct {
 	// ThresholdPct is the admission-threshold quantile over training
 	// scores (see policy.CalibrateThreshold).
 	ThresholdPct float64
-	// BatchSize is the ingest batch length — the unit of batched GMM
-	// admission scoring and of drift-detector observation.
+	// BatchSize is the ingest batch length — the unit of partition draining
+	// on the shard pool and of drift-detector observation. A refreshed model
+	// installs only between batches.
 	BatchSize int
 	// Refresh configures online model refresh (off by default).
 	Refresh RefreshConfig
@@ -309,7 +311,7 @@ func TrainBundle(tr trace.Trace, cfg Config) (*Bundle, error) {
 // arrival index seq — the closed form of trace.TimestampTransformer, which
 // emits floor(i/LenWindow) mod LenAccessShot for the i-th call. Being a pure
 // function of seq (never of which shard serves the request), it is what
-// keeps batched admission scoring identical at any shard count.
+// keeps admission scoring identical at any shard count.
 func timestampFor(seq uint64, lenWindow, lenAccessShot int) int {
 	return int((seq / uint64(lenWindow)) % uint64(lenAccessShot))
 }
@@ -332,7 +334,8 @@ func partitionOf(page, nParts uint64) uint64 {
 }
 
 // scoredReq is one routed request with its Algorithm 1 timestamp.
-// Normalization and scoring happen partition-side, on the shard pool.
+// Normalization and scoring happen partition-side, on the shard pool, and
+// only if the request misses (see scoreMiss).
 type scoredReq struct {
 	req Request
 	ts  int
@@ -375,18 +378,24 @@ type partition struct {
 
 	batchOps, batchHits uint64
 
-	queue  []scoredReq
+	queue []scoredReq
+	// bundle is the scoring bundle of the batch being drained, loaded once
+	// per batch, and curTS the Algorithm 1 timestamp of the request being
+	// served: scoreMiss scores a miss against both.
+	bundle *Bundle
+	curTS  int
+	// missPage, missTime and missScore are scoreMiss's one-point buffers.
+	missPage, missTime, missScore [1]float64
+	// scratch holds the partition's scoring workspace. Each partition owns
+	// its own because partitions score the shared bundle concurrently on
+	// shard goroutines; sharing one through the model would race.
+	scratch gmm.Scratch
+	// rsLocs, pages, times and scores are rescoreResident's buffers, kept
+	// here so periodic refreshes stop allocating.
+	rsLocs []scoreLoc
 	pages  []float64
 	times  []float64
 	scores []float64
-	// scratch holds the partition's batched-scoring workspace. Each
-	// partition owns its own because partitions score the shared bundle
-	// concurrently on shard goroutines; sharing one through the model would
-	// race.
-	scratch gmm.Scratch
-	// rsLocs is rescoreResident's resident-block location buffer, kept here
-	// (with pages/times/scores reuse) so periodic refreshes stop allocating.
-	rsLocs []scoreLoc
 }
 
 // scoreLoc addresses one resident cache block for batched rescoring.
@@ -467,15 +476,14 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 	}
 	parts := make([]*partition, cfg.Partitions)
 	for i := range parts {
-		// Every admission score reaches the policy through Begin, fed from
-		// the batched inference pass; threshold updates arrive via
-		// SetThresholds at batch boundaries.
+		// The policy scores each miss through its partition's scoreMiss,
+		// bound below; threshold updates arrive via SetThresholds at batch
+		// boundaries.
 		pol := newTenantGMM(cfg.Mode, budgets, b.Threshold)
 		c, err := cache.New(pc, pol)
 		if err != nil {
 			return nil, err
 		}
-		pol.bindCache(c)
 		mem, err := hbm.New(cfg.HBM)
 		if err != nil {
 			return nil, err
@@ -520,7 +528,7 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 				return nil, err
 			}
 		}
-		parts[i] = &partition{
+		p := &partition{
 			cache:  c,
 			pol:    pol,
 			mem:    mem,
@@ -532,6 +540,9 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 			hist:   stats.DefaultLatencyHistogram(),
 			ten:    ten,
 		}
+		pol.bindCache(c)
+		pol.bindScorer(p.scoreMiss)
+		parts[i] = p
 	}
 	s := &Service{
 		cfg:     cfg,
@@ -613,9 +624,8 @@ func (s *Service) transferShare(donor, recv, q int) {
 func (s *Service) rescoreResident(b *Bundle) {
 	ts := timestampFor(s.seq, s.tcfg.LenWindow, s.tcfg.LenAccessShot)
 	_ = engine.ForEach(s.runner, s.parts, func(_ int, p *partition) error {
-		// Reuse the partition's batch buffers: refreshes arrive at batch
-		// boundaries, when the queue is drained and pages/times/scores are
-		// idle, so growing them here just pre-sizes the next drain.
+		// The buffers belong to rescoreResident alone; reusing them, a
+		// refresh allocates only when the resident set has outgrown them.
 		locs, pages, times := p.rsLocs[:0], p.pages[:0], p.times[:0]
 		p.cache.Scan(func(set, way int, page uint64, _ bool) {
 			np, nt := b.Norm.ApplyPageTime(page, ts)
@@ -669,9 +679,9 @@ func (s *Service) Run(src Source) (*Snapshot, error) {
 
 // processBatch runs one batch through the pipeline: ingest (assign global
 // sequence numbers, derive Algorithm 1 timestamps, route to partitions),
-// batched GMM admission scoring plus cache/latency accounting per partition
-// on the shard pool, then batch-boundary work (drift detection, refresh
-// installation, metrics).
+// cache/latency accounting per partition on the shard pool, with GMM
+// admission scoring of the misses against the batch's bundle, then
+// batch-boundary work (drift detection, refresh installation, metrics).
 func (s *Service) processBatch(batch []Request) error {
 	s.refresher.installPending()
 	b := s.refresher.bundle.Load()
@@ -728,32 +738,13 @@ func (s *Service) processBatch(batch []Request) error {
 	return nil
 }
 
-// drainBatch scores the partition's queued requests in one batched inference
-// call and serves them in arrival order. Runs on a shard goroutine; touches
-// only partition-local state plus the immutable bundle.
+// drainBatch serves the partition's queued requests in arrival order; the
+// misses among them are scored against b (see scoreMiss). Runs on a shard
+// goroutine; touches only partition-local state plus the immutable bundle.
 func (p *partition) drainBatch(b *Bundle) {
-	n := len(p.queue)
-	if n == 0 {
-		return
-	}
-	// Grow each buffer on its own: rescoreResident reuses them and appends
-	// independently, so their capacities can diverge.
-	if cap(p.pages) < n {
-		p.pages = make([]float64, n)
-	}
-	if cap(p.times) < n {
-		p.times = make([]float64, n)
-	}
-	if cap(p.scores) < n {
-		p.scores = make([]float64, n)
-	}
-	pages, times, scores := p.pages[:n], p.times[:n], p.scores[:n]
-	for i, sr := range p.queue {
-		pages[i], times[i] = b.Norm.ApplyPageTime(sr.req.Page, sr.ts)
-	}
-	scoreBatch(b.Scorer, pages, times, scores, &p.scratch)
-	for i, sr := range p.queue {
-		p.serveOne(sr.req, scores[i])
+	p.bundle = b
+	for _, sr := range p.queue {
+		p.serveOne(sr.req, sr.ts)
 	}
 	if p.shadow != nil {
 		// Replay the identical request sequence through the shadow cache.
@@ -767,6 +758,17 @@ func (p *partition) drainBatch(b *Bundle) {
 		}
 	}
 	p.queue = p.queue[:0]
+}
+
+// scoreMiss is the policy's scoring hook: the GMM admission score of page at
+// the staged request's timestamp, under the batch's bundle. The policy calls
+// it once per miss, from Admit, so hits and host-routed requests are never
+// scored. It scores one point through the batch kernel, whose results have
+// the bits of any other batching of the same points.
+func (p *partition) scoreMiss(page uint64) float64 {
+	p.missPage[0], p.missTime[0] = p.bundle.Norm.ApplyPageTime(page, p.curTS)
+	scoreBatch(p.bundle.Scorer, p.missPage[:], p.missTime[:], p.missScore[:], &p.scratch)
+	return p.missScore[0]
 }
 
 // scoreBatch dispatches one batched scoring call: scratch-threaded (zero
@@ -790,8 +792,9 @@ func scoreBatch(sc policy.Scorer, pages, times, scores []float64, s *gmm.Scratch
 // begins at its arrival time or when the previous request here completed,
 // whichever is later); under dataflow timing queueing lives in the fpga
 // timeline's module cursors and outstanding window. Either way the recorded
-// latency is the sojourn time (queueing plus service).
-func (p *partition) serveOne(req Request, score float64) {
+// latency is the sojourn time (queueing plus service). timestamp is the
+// request's Algorithm 1 timestamp, staged for scoreMiss.
+func (p *partition) serveOne(req Request, timestamp int) {
 	if lat, ok := p.model.hostRoute(req.Page); ok {
 		done := req.ArrivalNs + lat
 		if done > p.now {
@@ -816,7 +819,8 @@ func (p *partition) serveOne(req Request, score float64) {
 		return
 	}
 
-	p.pol.Begin(req.Tenant, score)
+	p.curTS = timestamp
+	p.pol.Begin(req.Tenant)
 	res := p.cache.Access(req.Page, req.Write)
 	r := p.model.serveReq(req.Page, device.OutcomeOf(res, req.Write), req.ArrivalNs, p.now)
 	p.engineBusy += r.busyNs

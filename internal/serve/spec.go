@@ -46,8 +46,8 @@ type Spec struct {
 	Ops uint64 `json:"ops,omitempty"`
 	// Warmup is the initial-training trace length (default 200,000).
 	Warmup int `json:"warmup,omitempty"`
-	// Batch is the ingest batch size, the unit of batched GMM admission
-	// (default 8192).
+	// Batch is the ingest batch size, the unit of partition draining and
+	// drift observation (default 8192).
 	Batch int `json:"batch,omitempty"`
 	// Report is the interval-record period in batches (default 16; -1
 	// disables interval records).

@@ -377,14 +377,14 @@ func tenantBudgets(specs []TenantSpec, pc cache.Config) ([]int, error) {
 }
 
 // tenantGMM is the partition policy engine of the tenant layer: GMM-scored
-// admission and eviction (scores always arrive via Begin from the batched
-// inference pass) with per-tenant admission thresholds and per-tenant
-// capacity budgets. Budgets are hard ceilings: an admission never grows a
-// tenant past its budget, so shares can never over-commit the partition. A
-// tenant at its budget admits only by keeping its footprint exactly flat,
-// trading one of its own blocks for the new page (see Admit's swap-up
-// rule), so a tenant can never be permanently locked out of a hot set its
-// budget happens to have no blocks in. Budgets themselves move at batch
+// admission and eviction (Admit scores each miss once through the bound
+// scorer; hits are never scored) with per-tenant admission thresholds and
+// per-tenant capacity budgets. Budgets are hard ceilings: an admission never
+// grows a tenant past its budget, so shares can never over-commit the
+// partition. A tenant at its budget admits only by keeping its footprint
+// exactly flat, trading one of its own blocks for the new page (see Admit's
+// swap-up rule), so a tenant can never be permanently locked out of a hot set
+// its budget happens to have no blocks in. Budgets themselves move at batch
 // boundaries via shiftBudget, the elastic-share controller's lever.
 type tenantGMM struct {
 	mode  policy.GMMMode
@@ -400,6 +400,9 @@ type tenantGMM struct {
 	budget     []int     // per-tenant block budget
 	resident   []int     // per-tenant valid block count
 
+	// score returns the GMM admission score of the staged access's page (see
+	// bindScorer); curScore holds it from Admit through OnInsert.
+	score          func(page uint64) float64
 	curTenant      int
 	curScore       float64
 	restrictVictim bool // the pending Victim call must stay within curTenant
@@ -426,17 +429,19 @@ func newTenantGMM(mode policy.GMMMode, budgets []int, threshold float64) *tenant
 
 // bindCache hands the policy the cache it is attached to. The tenant layer
 // needs the back-reference for policy-initiated evictions (cross-set release,
-// share-shrink overflow); it is set once, right after cache.New, before any
+// share-shrink overflow); it is set once, after cache.New, before any
 // traffic.
 func (p *tenantGMM) bindCache(c *cache.Cache) { p.cache = c }
 
-// Begin stages the tenant and batched GMM score of the next access. The
-// serving pipeline calls it immediately before Cache.Access, so the policy
-// never runs its own (shard-local, hence wrong) Algorithm 1 clock.
-func (p *tenantGMM) Begin(tenant int, score float64) {
-	p.curTenant = tenant
-	p.curScore = score
-}
+// bindScorer installs the hook Admit scores a miss through. The partition
+// binds it once, right after bindCache, and stages the access's Algorithm 1
+// timestamp itself, so the policy never runs its own (shard-local, hence
+// wrong) clock.
+func (p *tenantGMM) bindScorer(score func(page uint64) float64) { p.score = score }
+
+// Begin stages the tenant of the next access. The serving pipeline calls it
+// immediately before Cache.Access; the access is scored only if it misses.
+func (p *tenantGMM) Begin(tenant int) { p.curTenant = tenant }
 
 // SetThresholds replaces every tenant's admission cutoff. Called only at
 // batch boundaries (refresh install, controller step) when no shard is
@@ -474,19 +479,20 @@ func (p *tenantGMM) OnHit(setIdx, way int, req cache.Request) {
 	p.lastUse[setIdx][way] = req.Seq
 }
 
-// Admit implements cache.Policy: the staged score must clear the tenant's
-// threshold, and the tenant's capacity budget must allow the insert. At
-// budget the footprint must stay exactly flat, and admission trades against
-// one of the tenant's own blocks under a swap-up rule: the page must beat
-// the block it displaces — its own in-set minimum when the full target set
-// holds its blocks, its globally-coldest block otherwise (released first,
-// cross-set accounting). Hot pages in sets the tenant has no blocks in are
-// therefore admittable instead of permanently bypassed. Only a tenant with
-// no resident blocks at all (a zero-budget corner) still bypasses at
-// budget.
+// Admit implements cache.Policy: it scores the missed page (the access's one
+// GMM inference), the score must clear the tenant's threshold, and the
+// tenant's capacity budget must allow the insert. At budget the footprint
+// must stay exactly flat, and admission trades against one of the tenant's
+// own blocks under a swap-up rule: the page must beat the block it displaces
+// — its own in-set minimum when the full target set holds its blocks, its
+// globally-coldest block otherwise (released first, cross-set accounting).
+// Hot pages in sets the tenant has no blocks in are therefore admittable
+// instead of permanently bypassed. Only a tenant with no resident blocks at
+// all (a zero-budget corner) still bypasses at budget.
 func (p *tenantGMM) Admit(req cache.Request) bool {
 	t := p.curTenant
 	p.restrictVictim = false
+	p.curScore = p.score(req.Page)
 	if p.mode != policy.GMMEvictionOnly && p.curScore < p.thresholds[t] {
 		return false
 	}
@@ -506,7 +512,7 @@ func (p *tenantGMM) Admit(req cache.Request) bool {
 		}
 	}
 	// Swap-up rule: the bar for an at-budget admission is the block it
-	// displaces (or releases) — in scored modes the staged score must beat
+	// displaces (or releases) — in scored modes the page's score must beat
 	// that block's eviction key, or any barely-above-threshold one-hit page
 	// would churn the resident working set. The bar therefore legitimately
 	// depends on WHERE the page lands: entering a full set where the tenant
@@ -648,8 +654,8 @@ func (p *tenantGMM) OnEvict(setIdx, way int, _ uint64) {
 	}
 }
 
-// OnInsert implements cache.Policy: the staged score is stored alongside the
-// tag and the block is charged to the inserting tenant.
+// OnInsert implements cache.Policy: the score Admit computed is stored
+// alongside the tag and the block is charged to the inserting tenant.
 func (p *tenantGMM) OnInsert(setIdx, way int, req cache.Request) {
 	p.scores[setIdx][way] = p.curScore
 	p.lastUse[setIdx][way] = req.Seq

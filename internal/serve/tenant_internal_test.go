@@ -50,6 +50,8 @@ func TestTenantSharesNeverOvercommitRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		pol.bindCache(c)
+		var score float64
+		pol.bindScorer(func(uint64) float64 { return score })
 
 		// Random per-tenant thresholds so bypass and admit interleave.
 		ths := make([]float64, nTenants)
@@ -62,7 +64,8 @@ func TestTenantSharesNeverOvercommitRandom(t *testing.T) {
 		steps := 200 + rng.Intn(400)
 		for s := 0; s < steps; s++ {
 			tenant := rng.Intn(nTenants)
-			pol.Begin(tenant, rng.Float64())
+			score = rng.Float64()
+			pol.Begin(tenant)
 			c.Access(rng.Uint64()%pageSpan, rng.Intn(4) == 0)
 
 			// Occasionally resize shares mid-traffic (the elastic-share
@@ -104,7 +107,8 @@ func TestTenantSharesNeverOvercommitRandom(t *testing.T) {
 }
 
 // tenantHarness builds a bound (cache, policy) pair plus an access helper
-// for the pinned-semantics tests below.
+// for the pinned-semantics tests below; the helper stages the access's score
+// for the policy's scoring hook.
 func tenantHarness(t *testing.T, mode policy.GMMMode, budgets []int, blocks, ways int) (*cache.Cache, *tenantGMM, func(tenant int, page uint64, score float64) cache.AccessResult) {
 	t.Helper()
 	pol := newTenantGMM(mode, budgets, 0)
@@ -114,8 +118,11 @@ func tenantHarness(t *testing.T, mode policy.GMMMode, budgets []int, blocks, way
 		t.Fatal(err)
 	}
 	pol.bindCache(c)
+	var staged float64
+	pol.bindScorer(func(uint64) float64 { return staged })
 	return c, pol, func(tenant int, page uint64, score float64) cache.AccessResult {
-		pol.Begin(tenant, score)
+		staged = score
+		pol.Begin(tenant)
 		return c.Access(page, false)
 	}
 }
@@ -216,8 +223,7 @@ func TestTenantCrossSetAccounting(t *testing.T) {
 	if pol.Resident(0) != 0 {
 		t.Fatalf("resident = %d after dropping all of tenant 0", pol.Resident(0))
 	}
-	pol.Begin(0, 9.9)
-	if res := c.Access(6, false); res.Admitted {
+	if res := access(0, 6, 9.9); res.Admitted {
 		t.Fatalf("zero-budget tenant admitted: %+v", res)
 	}
 	if err := pol.checkShares(); err != nil {
