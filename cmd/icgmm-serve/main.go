@@ -23,11 +23,11 @@
 // generator, then serves the configured requests (or ingests until the
 // spec's duration of wall time passes). Metrics stream as JSONL to -out
 // (default the spec's output field, default stdout): "interval" records
-// while serving, then "partition" and "summary" records. For a fixed seed
-// and refresh off|sync, every metric is bit-identical at any shard count; a
-// closing "wall" line on stderr reports (non-deterministic) wall-clock
-// throughput. A spec with tenants gains "tenant-interval", "control" and
-// final "tenant" records, and a per-tenant table prints to stderr.
+// while serving, then "partition" and "summary" records. For a fixed seed,
+// every metric is bit-identical at any shard count; a closing "wall" line
+// on stderr reports (non-deterministic) wall-clock throughput. A spec with
+// tenants gains "tenant-interval", "control" and final "tenant" records,
+// and a per-tenant table prints to stderr.
 package main
 
 import (

@@ -1,12 +1,12 @@
-// Package core assembles the full ICGMM system of Fig. 1: host requests
-// enter the unified CXL memory space; requests routed to the expanded region
-// hit the device-side DRAM cache managed by a policy engine; misses pay the
-// SSD penalty, with the GMM inference overlapped against the SSD access by
-// the dataflow architecture (Sec. 4.3).
+// Package core is the offline evaluation harness of the ICGMM device:
+// requests hit the device-side DRAM cache managed by a policy engine, and
+// misses pay the SSD penalty, with the GMM inference overlapped against the
+// SSD access by the dataflow architecture (Sec. 4.3).
 //
 // The package provides offline GMM training on a trace (the Sec. 3 flow),
-// the closed-loop latency simulator behind Table 1, and the policy
-// comparison harness behind Fig. 6.
+// the closed-loop latency simulator behind Table 1 (Run, on the paper's
+// measured end-to-end constants), and the policy comparison harness behind
+// Fig. 6.
 package core
 
 import (

@@ -79,33 +79,6 @@ func TestNoPolicyBeatsBelady(t *testing.T) {
 	}
 }
 
-func TestSynthesizedTraceDrivesSystem(t *testing.T) {
-	t.Parallel()
-	// Generative round trip at the system level: train on a benchmark,
-	// synthesize a trace from the model, and run the full pipeline on the
-	// synthetic trace.
-	orig := workload.NewParsec().Generate(60000, 6)
-	cfg := testConfig()
-	tg, err := Train(orig, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	synth, err := gmm.SynthesizeTrace(tg.Result.Model, tg.Norm, cfg.Transform, 30000, 0.25, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmp, err := Compare("parsec-synth", synth, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The synthetic trace is by construction GMM-shaped: the engine must
-	// not lose to LRU on it.
-	if cmp.BestGMM().Cache.MissRate() > cmp.LRU.Cache.MissRate()+1e-9 {
-		t.Errorf("GMM lost on its own synthetic trace: %.4f vs %.4f",
-			cmp.BestGMM().Cache.MissRate(), cmp.LRU.Cache.MissRate())
-	}
-}
-
 func TestAllPoliciesRunAllBenchmarks(t *testing.T) {
 	t.Parallel()
 	// Smoke matrix: every policy engine must survive every benchmark

@@ -1,94 +1,19 @@
-// Package cxl models the CXL-enabled memory expansion fabric of Fig. 1: a
-// unified physical address space in which the host's native DRAM and the
-// SSD-backed expanded region appear as one flat memory, plus a CXL.mem
-// transaction layer whose latency and flit accounting connect the host to
-// the ICGMM device.
+// Package cxl models the CXL.mem link of Fig. 1 that connects the host to
+// the ICGMM device: a transaction layer whose latency and flit accounting
+// every device access pays on its way in and out. Which pages stay in host
+// DRAM is the device timing layer's decision (internal/device).
 //
 // The model is deliberately at the transaction level (not flit-by-flit
-// timing): what the paper's evaluation depends on is which region a request
-// routes to and what round-trip latency the link adds, both of which are
-// captured here.
+// timing): what the paper's evaluation depends on is the round-trip latency
+// the link adds, which is captured here.
 package cxl
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
-
-// Region identifies which memory a physical address belongs to.
-type Region uint8
-
-const (
-	// RegionHost is native host DRAM (served without touching the device).
-	RegionHost Region = iota
-	// RegionExpanded is the CXL device's SSD-backed expansion space.
-	RegionExpanded
-	// RegionInvalid is an address beyond the unified space.
-	RegionInvalid
-)
-
-// String names the region.
-func (r Region) String() string {
-	switch r {
-	case RegionHost:
-		return "host"
-	case RegionExpanded:
-		return "expanded"
-	default:
-		return "invalid"
-	}
-}
-
-// AddressMap lays out the unified memory space: host DRAM at the bottom,
-// the expanded SSD space above it.
-type AddressMap struct {
-	// HostBytes is the size of native host DRAM.
-	HostBytes uint64
-	// ExpandedBytes is the size of the SSD-backed expansion.
-	ExpandedBytes uint64
-}
-
-// DefaultAddressMap models a host with 16 GiB of DRAM expanding into a
-// 1 TiB SSD.
-func DefaultAddressMap() AddressMap {
-	return AddressMap{HostBytes: 16 << 30, ExpandedBytes: 1 << 40}
-}
-
-// Validate checks the map.
-func (m AddressMap) Validate() error {
-	if m.ExpandedBytes == 0 {
-		return errors.New("cxl: empty expanded region")
-	}
-	return nil
-}
-
-// TotalBytes returns the unified space size.
-func (m AddressMap) TotalBytes() uint64 { return m.HostBytes + m.ExpandedBytes }
-
-// Route classifies a physical address.
-func (m AddressMap) Route(addr uint64) Region {
-	switch {
-	case addr < m.HostBytes:
-		return RegionHost
-	case addr < m.HostBytes+m.ExpandedBytes:
-		return RegionExpanded
-	default:
-		return RegionInvalid
-	}
-}
-
-// DevicePage translates a unified-space address in the expanded region to a
-// page index local to the device (what the DRAM cache and SSD index by).
-func (m AddressMap) DevicePage(addr uint64) (uint64, error) {
-	if m.Route(addr) != RegionExpanded {
-		return 0, fmt.Errorf("cxl: address %#x not in expanded region", addr)
-	}
-	return (addr - m.HostBytes) >> trace.PageShift, nil
-}
 
 // MsgType is a CXL.mem transaction type (the master-to-subordinate and
 // subordinate-to-master opcode classes relevant to memory expansion).

@@ -3,65 +3,7 @@ package cxl
 import (
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
-
-func TestAddressMapRouting(t *testing.T) {
-	m := AddressMap{HostBytes: 1 << 20, ExpandedBytes: 1 << 20}
-	cases := []struct {
-		addr uint64
-		want Region
-	}{
-		{0, RegionHost},
-		{1<<20 - 1, RegionHost},
-		{1 << 20, RegionExpanded},
-		{2<<20 - 1, RegionExpanded},
-		{2 << 20, RegionInvalid},
-	}
-	for _, c := range cases {
-		if got := m.Route(c.addr); got != c.want {
-			t.Errorf("Route(%#x) = %v, want %v", c.addr, got, c.want)
-		}
-	}
-}
-
-func TestRegionString(t *testing.T) {
-	if RegionHost.String() != "host" || RegionExpanded.String() != "expanded" ||
-		RegionInvalid.String() != "invalid" {
-		t.Error("region names wrong")
-	}
-}
-
-func TestDevicePage(t *testing.T) {
-	m := AddressMap{HostBytes: 1 << 20, ExpandedBytes: 1 << 30}
-	p, err := m.DevicePage(1<<20 + 2*trace.PageSize + 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 2 {
-		t.Errorf("DevicePage = %d, want 2", p)
-	}
-	if _, err := m.DevicePage(0); err == nil {
-		t.Error("host address translated")
-	}
-	if _, err := m.DevicePage(1<<20 + 1<<30); err == nil {
-		t.Error("out-of-range address translated")
-	}
-}
-
-func TestAddressMapValidate(t *testing.T) {
-	if err := DefaultAddressMap().Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := (AddressMap{HostBytes: 1}).Validate(); err == nil {
-		t.Error("empty expansion accepted")
-	}
-	m := DefaultAddressMap()
-	if m.TotalBytes() != m.HostBytes+m.ExpandedBytes {
-		t.Error("TotalBytes wrong")
-	}
-}
 
 func TestLinkTransferLatency(t *testing.T) {
 	l, err := NewLink(DefaultLinkConfig())
@@ -135,5 +77,29 @@ func TestLinkConfigValidate(t *testing.T) {
 func TestMsgTypeString(t *testing.T) {
 	if MemRd.String() != "MemRd" || MemWr.String() != "MemWr" || Cmp.String() != "Cmp" {
 		t.Error("message type names wrong")
+	}
+}
+
+// TestRestoreStats: a link restored from another's counters accounts the
+// next transfers exactly as the original does. The transfer model is a pure
+// function of the config, so completion times match too.
+func TestRestoreStats(t *testing.T) {
+	orig, _ := NewLink(DefaultLinkConfig())
+	orig.RoundTrip(true, 4096, 0)
+	orig.RoundTrip(false, 100, 500)
+	orig.Transfer(Message{Type: MemRd}, 900)
+	restored, _ := NewLink(DefaultLinkConfig())
+	restored.RestoreStats(orig.Stats())
+	if orig.Stats() != restored.Stats() {
+		t.Fatalf("restored stats %+v, want %+v", restored.Stats(), orig.Stats())
+	}
+	for i, read := range []bool{true, false, true} {
+		now := int64(1000 + i*300)
+		if a, b := orig.RoundTrip(read, 4096, now), restored.RoundTrip(read, 4096, now); a != b {
+			t.Errorf("round trip %d done at %d on the original, %d restored", i, a, b)
+		}
+	}
+	if a, b := orig.Stats(), restored.Stats(); a != b {
+		t.Errorf("stats diverged: original %+v, restored %+v", a, b)
 	}
 }

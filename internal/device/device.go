@@ -1,9 +1,8 @@
-// Package device holds the ICGMM device timing models shared by the online
-// serving path (internal/serve) and the whole-machine simulator
-// (internal/core): given a functional cache outcome, a model answers "how
-// long did this access take". Two implementations exist — Flat, the
-// latency-constant arithmetic both callers historically duplicated, and
-// Dataflow, which routes requests through the fpga package's per-module
+// Package device holds the ICGMM device timing models of the online serving
+// path (internal/serve): given a functional cache outcome, a model answers
+// "how long did this access take". Two implementations exist — Flat, which
+// composes the cxl link, hbm and ssd models with a fixed inference overhead,
+// and Dataflow, which routes requests through the fpga package's per-module
 // pipeline timeline so sojourn times reflect queueing and backpressure.
 package device
 

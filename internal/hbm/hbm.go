@@ -1,9 +1,8 @@
 // Package hbm models the FPGA's high-bandwidth memory, which the ICGMM
-// prototype uses as the DRAM cache (Sec. 4), together with the on-board
-// cache-tag/GMM-score table buffer of the cache control engine (Sec. 4.2).
-// The model captures what the evaluation depends on: per-bank service
-// latency with bank-conflict queueing, and the parallel tag comparison that
-// makes hit/miss determination constant-time.
+// prototype uses as the DRAM cache (Sec. 4). The model captures what the
+// evaluation depends on: per-bank service latency with bank-conflict
+// queueing. Cache tags live in the functional cache (internal/cache) and
+// per-block GMM scores in the policy engine.
 package hbm
 
 import (
@@ -110,71 +109,3 @@ func (m *Memory) Accesses() uint64 { return m.accesses.Value() }
 
 // MeanLatency returns the observed mean access latency.
 func (m *Memory) MeanLatency() time.Duration { return m.lat.MeanDuration() }
-
-// TagEntry is one way's worth of cache metadata held in the on-board buffer:
-// the tag plus the GMM score that replaces the LRU counter (Sec. 3.2).
-type TagEntry struct {
-	Tag   uint64
-	Valid bool
-	Score float64
-}
-
-// TagBuffer is the on-board cache tag and GMM score table (Sec. 4.2). The
-// buffer is partitioned by way so all tags of a set are compared against the
-// target in a single cycle, as opposed to sequential comparison; Lookup
-// models that with one pass over the ways of the chosen set.
-type TagBuffer struct {
-	ways    int
-	entries [][]TagEntry // [set][way]
-	lookups stats.Counter
-}
-
-// NewTagBuffer allocates the table.
-func NewTagBuffer(sets, ways int) (*TagBuffer, error) {
-	if sets <= 0 || ways <= 0 {
-		return nil, fmt.Errorf("hbm: invalid tag buffer geometry %dx%d", sets, ways)
-	}
-	e := make([][]TagEntry, sets)
-	for i := range e {
-		e[i] = make([]TagEntry, ways)
-	}
-	return &TagBuffer{ways: ways, entries: e}, nil
-}
-
-// Lookup compares the tag against every way of the set in parallel,
-// returning the matching way or -1.
-func (tb *TagBuffer) Lookup(set int, tag uint64) int {
-	tb.lookups.Inc()
-	for w, e := range tb.entries[set] {
-		if e.Valid && e.Tag == tag {
-			return w
-		}
-	}
-	return -1
-}
-
-// Set writes one entry.
-func (tb *TagBuffer) Set(set, way int, e TagEntry) { tb.entries[set][way] = e }
-
-// Get reads one entry.
-func (tb *TagBuffer) Get(set, way int) TagEntry { return tb.entries[set][way] }
-
-// MinScoreWay returns the valid way with the lowest score, or -1 when the
-// set has an invalid way (no eviction needed) — the hardware smart-eviction
-// primitive.
-func (tb *TagBuffer) MinScoreWay(set int) int {
-	best := -1
-	bestScore := 0.0
-	for w, e := range tb.entries[set] {
-		if !e.Valid {
-			return -1
-		}
-		if best == -1 || e.Score < bestScore {
-			best, bestScore = w, e.Score
-		}
-	}
-	return best
-}
-
-// Lookups returns the number of Lookup calls.
-func (tb *TagBuffer) Lookups() uint64 { return tb.lookups.Value() }

@@ -51,45 +51,34 @@ func TestBankConflict(t *testing.T) {
 	}
 }
 
-func TestTagBuffer(t *testing.T) {
-	tb, err := NewTagBuffer(4, 2)
-	if err != nil {
+// TestStateRoundTrip: a memory restored from another's exported state serves
+// the next accesses exactly as the original does — same completion times
+// (the bank busy horizons carry over), access count and mean latency — and a
+// state with a different bank count is refused.
+func TestStateRoundTrip(t *testing.T) {
+	cfg := Config{Banks: 4, AccessLatency: time.Microsecond}
+	orig, _ := New(cfg)
+	for page := uint64(0); page < 10; page++ {
+		orig.Access(page, int64(page)*100)
+	}
+	restored, _ := New(cfg)
+	if err := restored.RestoreState(orig.State()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewTagBuffer(0, 2); err == nil {
-		t.Error("zero sets accepted")
+	// Every bank is busy until past 2 us, so these accesses queue: their
+	// completion times depend on the restored horizons.
+	for page := uint64(0); page < 6; page++ {
+		now := 1000 + int64(page)*200
+		if a, b := orig.Access(page, now), restored.Access(page, now); a != b {
+			t.Errorf("page %d done at %d on the original, %d restored", page, a, b)
+		}
 	}
-	tb.Set(1, 0, TagEntry{Tag: 42, Valid: true, Score: 0.9})
-	tb.Set(1, 1, TagEntry{Tag: 43, Valid: true, Score: 0.3})
-	if w := tb.Lookup(1, 42); w != 0 {
-		t.Errorf("Lookup(42) = %d, want 0", w)
+	if orig.Accesses() != restored.Accesses() || orig.MeanLatency() != restored.MeanLatency() {
+		t.Errorf("accounting diverged: original %d accesses / %v mean, restored %d / %v",
+			orig.Accesses(), orig.MeanLatency(), restored.Accesses(), restored.MeanLatency())
 	}
-	if w := tb.Lookup(1, 99); w != -1 {
-		t.Errorf("Lookup(99) = %d, want -1", w)
-	}
-	if w := tb.Lookup(2, 42); w != -1 {
-		t.Errorf("Lookup in wrong set = %d, want -1", w)
-	}
-	if tb.Lookups() != 3 {
-		t.Errorf("lookups = %d", tb.Lookups())
-	}
-	if e := tb.Get(1, 1); e.Tag != 43 || e.Score != 0.3 {
-		t.Errorf("Get = %+v", e)
-	}
-}
-
-func TestMinScoreWay(t *testing.T) {
-	tb, _ := NewTagBuffer(2, 3)
-	// Set 0 has an invalid way: no eviction needed.
-	tb.Set(0, 0, TagEntry{Tag: 1, Valid: true, Score: 0.5})
-	if w := tb.MinScoreWay(0); w != -1 {
-		t.Errorf("MinScoreWay with free way = %d, want -1", w)
-	}
-	// Fill set 1 and check the lowest score wins.
-	tb.Set(1, 0, TagEntry{Tag: 1, Valid: true, Score: 0.5})
-	tb.Set(1, 1, TagEntry{Tag: 2, Valid: true, Score: 0.1})
-	tb.Set(1, 2, TagEntry{Tag: 3, Valid: true, Score: 0.9})
-	if w := tb.MinScoreWay(1); w != 1 {
-		t.Errorf("MinScoreWay = %d, want 1", w)
+	other, _ := New(Config{Banks: 8, AccessLatency: time.Microsecond})
+	if err := other.RestoreState(orig.State()); err == nil {
+		t.Error("4-bank state restored into an 8-bank memory")
 	}
 }

@@ -193,9 +193,7 @@ type sourceState struct {
 // be called between Steps — which is the only time a caller can call it,
 // since sessions are single-goroutine — and is non-destructive: the session
 // keeps serving afterwards, and the same session may be checkpointed many
-// times. Under asynchronous refresh an in-flight refit is drained and
-// installed first (async runs have already traded away byte-determinism;
-// sync and off modes are unaffected).
+// times.
 //
 // A checkpoint taken here is presumed to seed a resume elsewhere: until the
 // session Steps again, Close is an error and Detach is the way to tear it
@@ -221,7 +219,6 @@ func (s *Session) checkpointTo(w io.Writer) error {
 	if s.svc.metrics.err != nil {
 		return fmt.Errorf("serve: metrics sink: %w", s.svc.metrics.err)
 	}
-	s.svc.refresher.wait()
 	st, err := s.svc.exportState()
 	if err != nil {
 		return err
@@ -311,8 +308,7 @@ func Resume(r io.Reader, metrics io.Writer) (*Session, error) {
 
 // exportState captures the service's mutable state at a batch boundary.
 func (s *Service) exportState() (serviceState, error) {
-	b := s.refresher.bundle.Load()
-	bs, err := exportBundle(b)
+	bs, err := exportBundle(s.refresher.bundle)
 	if err != nil {
 		return serviceState{}, err
 	}
@@ -326,7 +322,7 @@ func (s *Service) exportState() (serviceState, error) {
 		Refresher: refresherState{
 			Started:     s.refresher.started,
 			Installed:   s.refresher.installed,
-			Failed:      s.refresher.failed.Load(),
+			Failed:      s.refresher.failed,
 			PendingFire: s.refresher.pendingFire,
 			Detector: detectorState{
 				Baseline: s.refresher.detector.baseline,
@@ -431,7 +427,7 @@ func (s *Service) restoreState(st serviceState) error {
 	s.lastMakespan = st.LastMakespanNs
 	s.refresher.started = st.Refresher.Started
 	s.refresher.installed = st.Refresher.Installed
-	s.refresher.failed.Store(st.Refresher.Failed)
+	s.refresher.failed = st.Refresher.Failed
 	s.refresher.pendingFire = st.Refresher.PendingFire
 	s.refresher.detector.baseline = st.Refresher.Detector.Baseline
 	s.refresher.detector.seen = st.Refresher.Detector.Seen

@@ -9,9 +9,8 @@ const (
 	EventDrift = "drift"
 	// EventRefresh: a refitted model bundle was installed.
 	EventRefresh = "refresh"
-	// EventRefreshFailed: a synchronous refit errored; the previous bundle
-	// keeps serving. (Asynchronous refit failures happen off the ingest
-	// goroutine and surface only in the RefreshesFailed counter.)
+	// EventRefreshFailed: a refit errored; the previous bundle keeps
+	// serving.
 	EventRefreshFailed = "refresh-failed"
 	// EventShare: the controller moved HBM capacity between tenants.
 	EventShare = "share"

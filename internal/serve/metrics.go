@@ -130,7 +130,7 @@ func (s *Service) Snapshot() *Snapshot {
 	snap := &Snapshot{
 		Batches:         s.batches,
 		Refreshes:       s.refresher.installed,
-		RefreshesFailed: s.refresher.failed.Load(),
+		RefreshesFailed: s.refresher.failed,
 		Timing:          s.cfg.Device.Timing.String(),
 		Shadow:          s.cfg.Shadow != nil,
 		Partitions:      make([]PartitionSnapshot, len(s.parts)),

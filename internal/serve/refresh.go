@@ -3,8 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/gmm"
@@ -19,15 +17,8 @@ const (
 	RefreshOff RefreshMode = iota
 	// RefreshSync refits at the batch boundary that triggered it: serving
 	// pauses for one refit (itself sharded over the worker pool), and
-	// results stay bit-identical at any shard count — the deterministic
-	// mode the tests pin.
+	// results stay bit-identical at any shard count.
 	RefreshSync
-	// RefreshAsync refits on a background goroutine and installs the new
-	// bundle at the first batch boundary after training completes, so
-	// serving never blocks on training. Which batch that is depends on
-	// wall-clock training time, so async runs trade the determinism
-	// contract for zero serving stalls.
-	RefreshAsync
 )
 
 // String names the mode as the -refresh flag spells it.
@@ -35,8 +26,6 @@ func (m RefreshMode) String() string {
 	switch m {
 	case RefreshSync:
 		return "sync"
-	case RefreshAsync:
-		return "async"
 	default:
 		return "off"
 	}
@@ -49,10 +38,8 @@ func ParseRefreshMode(s string) (RefreshMode, error) {
 		return RefreshOff, nil
 	case "sync":
 		return RefreshSync, nil
-	case "async":
-		return RefreshAsync, nil
 	}
-	return RefreshOff, fmt.Errorf("serve: unknown refresh mode %q (valid: off|sync|async)", s)
+	return RefreshOff, fmt.Errorf("serve: unknown refresh mode %q (valid: off|sync)", s)
 }
 
 // DriftConfig parameterizes the hit-ratio drift detector.
@@ -173,7 +160,7 @@ func (d *DriftDetector) Observe(hitRatio float64) bool {
 
 // RefreshConfig configures online model refresh.
 type RefreshConfig struct {
-	// Mode selects off/sync/async (see RefreshMode).
+	// Mode selects off/sync (see RefreshMode).
 	Mode RefreshMode
 	// Drift parameterizes the trigger.
 	Drift DriftConfig
@@ -257,25 +244,19 @@ func (w *sampleWindow) snapshot() []trace.Sample {
 	return append(out, w.buf[:w.pos]...)
 }
 
-// refresher owns the live bundle and the refresh machinery. The bundle
-// pointer and pending slot are atomic so an async refit can publish from its
-// goroutine; everything else runs on the ingest loop.
+// refresher owns the live bundle and the refresh machinery. It runs
+// entirely on the ingest loop, at batch boundaries.
 type refresher struct {
 	svc      *Service
 	detector *DriftDetector
 
-	bundle  atomic.Pointer[Bundle]
-	pending atomic.Pointer[Bundle]
-
-	inflight  atomic.Bool
-	wg        sync.WaitGroup
+	bundle    *Bundle
 	started   uint64 // refits launched, also the refit seed index
 	installed uint64 // bundles installed
-	// failed counts refits that errored (the old bundle is kept). Atomic
-	// because async refits increment it from their goroutine; surfaced in
-	// Snapshot and the summary metrics so "no drift" and "every refit
+	// failed counts refits that errored (the old bundle is kept), surfaced
+	// in Snapshot and the summary metrics so "no drift" and "every refit
 	// errored" are distinguishable.
-	failed atomic.Uint64
+	failed uint64
 
 	// pendingFire holds a detector fire that arrived before the sample
 	// window reached MinSamples; the refit retries at the next batch
@@ -285,13 +266,11 @@ type refresher struct {
 }
 
 func newRefresher(s *Service, b *Bundle) *refresher {
-	r := &refresher{svc: s, detector: NewDriftDetector(s.cfg.Refresh.Drift)}
-	r.bundle.Store(b)
-	return r
+	return &refresher{svc: s, detector: NewDriftDetector(s.cfg.Refresh.Drift), bundle: b}
 }
 
-// observe feeds the batch hit ratio to the detector and launches a refit
-// when it fires.
+// observe feeds the batch hit ratio to the detector and, when it fires,
+// refits and installs the new bundle before the next batch.
 func (r *refresher) observe(hitRatio float64) {
 	if r.svc.cfg.Refresh.Mode == RefreshOff {
 		return
@@ -308,34 +287,15 @@ func (r *refresher) observe(hitRatio float64) {
 		return
 	}
 	r.pendingFire = false
-	samples := r.svc.window.snapshot()
 	seed := engine.DeriveSeed(r.svc.cfg.Train.Seed, r.started)
 	r.started++
-	switch r.svc.cfg.Refresh.Mode {
-	case RefreshSync:
-		nb, err := r.refit(samples, seed)
-		if err != nil {
-			r.failed.Add(1)
-			r.svc.emit(Event{Kind: EventRefreshFailed, Err: err.Error()})
-			return
-		}
-		r.install(nb)
-	case RefreshAsync:
-		if !r.inflight.CompareAndSwap(false, true) {
-			return // one refit at a time; the episode already has one
-		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer r.inflight.Store(false)
-			nb, err := r.refit(samples, seed)
-			if err != nil {
-				r.failed.Add(1)
-				return
-			}
-			r.pending.Store(nb)
-		}()
+	nb, err := r.refit(r.svc.window.snapshot(), seed)
+	if err != nil {
+		r.failed++
+		r.svc.emit(Event{Kind: EventRefreshFailed, Err: err.Error()})
+		return
 	}
+	r.install(nb)
 }
 
 // refit trains a fresh bundle on the sample window: refit the normalizer to
@@ -356,31 +316,15 @@ func (r *refresher) refit(samples []trace.Sample, seed int64) (*Bundle, error) {
 	return buildBundle(res.Model, norm, normed, r.svc.cfg)
 }
 
-// installPending swaps in an async-completed bundle, if any. Called at batch
-// boundaries, when no shard is touching partition state, so the per-partition
-// threshold update below is race-free.
-func (r *refresher) installPending() {
-	if nb := r.pending.Swap(nil); nb != nil {
-		r.install(nb)
-	}
-}
-
 // install publishes the bundle, rebases every tenant's effective threshold
 // (new calibrated base x preserved controller multiplier) into every
 // partition's policy engine, and rescores resident blocks onto the new
 // model's density scale so eviction never compares scores across models.
 func (r *refresher) install(nb *Bundle) {
-	r.bundle.Store(nb)
+	r.bundle = nb
 	r.svc.applyThresholds()
 	r.svc.rescoreResident(nb)
 	r.installed++
 	r.svc.metrics.writeRefresh(r.svc.batches, r.installed, nb.Threshold)
 	r.svc.emit(Event{Kind: EventRefresh, Threshold: nb.Threshold, Refreshes: r.installed})
-}
-
-// wait blocks until an in-flight async refit finishes, then installs it so
-// run summaries reflect every completed refit.
-func (r *refresher) wait() {
-	r.wg.Wait()
-	r.installPending()
 }

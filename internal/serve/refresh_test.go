@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -128,7 +129,7 @@ func TestTimestampForMatchesTransformer(t *testing.T) {
 }
 
 func TestParseRefreshMode(t *testing.T) {
-	for s, want := range map[string]RefreshMode{"off": RefreshOff, "sync": RefreshSync, "async": RefreshAsync} {
+	for s, want := range map[string]RefreshMode{"off": RefreshOff, "sync": RefreshSync} {
 		got, err := ParseRefreshMode(s)
 		if err != nil || got != want {
 			t.Errorf("ParseRefreshMode(%q) = %v, %v", s, got, err)
@@ -137,7 +138,12 @@ func TestParseRefreshMode(t *testing.T) {
 			t.Errorf("String() round trip: %q != %q", got.String(), s)
 		}
 	}
-	if _, err := ParseRefreshMode("bogus"); err == nil {
-		t.Error("bogus mode accepted")
+	for _, s := range []string{"async", "bogus"} {
+		_, err := ParseRefreshMode(s)
+		if err == nil {
+			t.Errorf("%s mode accepted", s)
+		} else if !strings.Contains(err.Error(), "off|sync)") {
+			t.Errorf("%s: error %q does not name off|sync", s, err)
+		}
 	}
 }

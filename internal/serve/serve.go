@@ -5,9 +5,9 @@
 // the cxl/hbm/ssd latency models of its address partition for end-to-end
 // service-time accounting, and the GMM scores a request only when it misses
 // the cache — hits are served without inference, as in the hardware. A
-// background drift detector watches the hit ratio and triggers a mini-batch
-// EM refit whose result is hot-swapped into the scoring path (see
-// refresh.go).
+// drift detector watches the hit ratio at batch boundaries and triggers an
+// EM refit whose result replaces the scoring bundle before the next batch
+// (see refresh.go).
 //
 // # Determinism
 //
@@ -241,11 +241,9 @@ func (c Config) trainConfig() gmm.TrainConfig {
 	return t
 }
 
-// Bundle is the hot-swappable scoring state: the serving scorer, the float
-// model behind it, the coordinate normalizer fitted with it, and the
-// calibrated admission threshold. The service publishes bundles through an
-// atomic pointer, so a refresh replaces all of it together without blocking
-// serving.
+// Bundle is the scoring state: the serving scorer, the float model behind
+// it, the coordinate normalizer fitted with it, and the calibrated admission
+// threshold. A refresh replaces all of it together at a batch boundary.
 type Bundle struct {
 	// Scorer is what the admission path scores through: the float Model
 	// itself, or its quantized form under ScoringQ16.
@@ -562,7 +560,7 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 // (active bundle base x controller multiplier) and publishes the result to
 // every partition's policy engine. Called only at batch boundaries.
 func (s *Service) applyThresholds() {
-	base := s.refresher.bundle.Load().Threshold
+	base := s.refresher.bundle.Threshold
 	ths := make([]float64, len(s.tenants))
 	for i, t := range s.tenants {
 		t.threshold = base * t.mult
@@ -650,14 +648,13 @@ func (s *Service) rescoreResident(b *Bundle) {
 }
 
 // Bundle returns the currently active scoring bundle.
-func (s *Service) Bundle() *Bundle { return s.refresher.bundle.Load() }
+func (s *Service) Bundle() *Bundle { return s.refresher.bundle }
 
 // Refreshes returns how many refreshed models have been installed.
 func (s *Service) Refreshes() uint64 { return s.refresher.installed }
 
-// Run ingests the source until it is exhausted, then waits for any in-flight
-// asynchronous refresh, emits the final metric records, and returns the
-// aggregate snapshot.
+// Run ingests the source until it is exhausted, then emits the final metric
+// records and returns the aggregate snapshot.
 func (s *Service) Run(src Source) (*Snapshot, error) {
 	buf := make([]Request, s.cfg.BatchSize)
 	for {
@@ -669,7 +666,6 @@ func (s *Service) Run(src Source) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	s.refresher.wait()
 	snap := s.Snapshot()
 	if err := s.metrics.writeFinal(snap, len(s.cfg.Tenants) > 0); err != nil {
 		return nil, err
@@ -683,8 +679,7 @@ func (s *Service) Run(src Source) (*Snapshot, error) {
 // admission scoring of the misses against the batch's bundle, then
 // batch-boundary work (drift detection, refresh installation, metrics).
 func (s *Service) processBatch(batch []Request) error {
-	s.refresher.installPending()
-	b := s.refresher.bundle.Load()
+	b := s.refresher.bundle
 	nParts := uint64(len(s.parts))
 	// The ingest loop is the pipeline's only serial segment, so it does the
 	// bare minimum per request: sequence assignment, timestamp derivation,

@@ -214,29 +214,6 @@ func TestServeRefreshDeferredUntilWindowFills(t *testing.T) {
 	}
 }
 
-// TestServeRefreshAsync exercises the background-refit path (the atomics run
-// under -race in CI): the refit must land without blocking the run and be
-// installed by the time Run returns.
-func TestServeRefreshAsync(t *testing.T) {
-	t.Parallel()
-	olCfg := workload.OpenLoopConfig{
-		RatePerSec: 5e6, Seed: 11,
-		ShiftAfter: 24 * 1024, ShiftOffsetPages: 1 << 20,
-	}
-	cfg := testConfig(4)
-	cfg.Refresh.Mode = serve.RefreshAsync
-	cfg.Refresh.Drift = serve.DriftConfig{Delta: 0.25, Sustain: 2, Warmup: 4, Alpha: 0.05}
-	cfg.Refresh.WindowSamples = 8192
-	cfg.Refresh.MinSamples = 2048
-	snap, svc := runService(t, cfg, 64*1024, olCfg)
-	if snap.Refreshes == 0 {
-		t.Error("async refresh never installed")
-	}
-	if svc.Bundle() == nil {
-		t.Error("nil bundle after run")
-	}
-}
-
 func TestServeConfigValidation(t *testing.T) {
 	t.Parallel()
 	b := trainTestBundle(t, testConfig(1))
@@ -268,30 +245,5 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 	if _, err := serve.New(testConfig(1), nil); err == nil {
 		t.Error("nil bundle accepted")
-	}
-}
-
-func TestTraceSource(t *testing.T) {
-	t.Parallel()
-	tr := testGen(t).Generate(5000, 2)
-	src := serve.NewTraceSource(tr, 1e6) // 1 us spacing
-	var got int
-	buf := make([]serve.Request, 1024)
-	var lastArrival int64 = -1
-	for {
-		n := src.Next(buf)
-		if n == 0 {
-			break
-		}
-		for _, r := range buf[:n] {
-			if r.ArrivalNs <= lastArrival && got > 0 {
-				t.Fatal("arrivals not increasing")
-			}
-			lastArrival = r.ArrivalNs
-		}
-		got += n
-	}
-	if got != 5000 {
-		t.Fatalf("trace source yielded %d, want 5000", got)
 	}
 }

@@ -185,9 +185,8 @@ func (s *Session) Batches() uint64 { return s.svc.batches }
 // between Steps; it does not write metric records.
 func (s *Session) Metrics() *Snapshot { return s.svc.Snapshot() }
 
-// Close finishes the run: it waits for any in-flight asynchronous refit and
-// emits the final partition/tenant/summary metric records, exactly as
-// Service.Run does at source exhaustion. Idempotent.
+// Close finishes the run: it emits the final partition/tenant/summary metric
+// records, exactly as Service.Run does at source exhaustion. Idempotent.
 //
 // Closing a session whose last act was Checkpoint is an error: the
 // checkpoint exists to resume the run elsewhere, and final records written
@@ -202,23 +201,20 @@ func (s *Session) Close() error {
 		return errors.New("serve: session was checkpointed to be resumed elsewhere; call Detach instead of Close (or Step to keep serving locally)")
 	}
 	s.closed = true
-	s.svc.refresher.wait()
 	return s.svc.metrics.writeFinal(s.svc.Snapshot(), len(s.cfg.Tenants) > 0)
 }
 
-// Detach tears the session down without emitting final records: it waits
-// for any in-flight asynchronous refit and marks the session closed, writing
-// nothing. This is the correct end of life for a session that was
-// checkpointed for migration — the resumed copy owns the rest of the metric
-// stream, including the finals. Idempotent; safe whether or not a
-// checkpoint was taken.
+// Detach tears the session down without emitting final records: it marks
+// the session closed and writes nothing. This is the correct end of life
+// for a session that was checkpointed for migration — the resumed copy owns
+// the rest of the metric stream, including the finals. Idempotent; safe
+// whether or not a checkpoint was taken.
 func (s *Session) Detach() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	s.ckptPending = false
-	s.svc.refresher.wait()
 }
 
 // Run steps the session to source exhaustion, closes it, and returns the

@@ -88,37 +88,3 @@ func (s *muxSource) Next(dst []Request) int {
 	s.remaining -= uint64(n)
 	return n
 }
-
-// traceSource replays a fixed trace once, with arrivals evenly spaced at the
-// given rate (or all at time zero for rate <= 0, a saturating replay).
-type traceSource struct {
-	tr    trace.Trace
-	pos   int
-	gapNs float64
-	clock float64
-}
-
-// NewTraceSource serves a trace as an open-loop stream at ratePerSec.
-func NewTraceSource(tr trace.Trace, ratePerSec float64) Source {
-	gap := 0.0
-	if ratePerSec > 0 {
-		gap = 1e9 / ratePerSec
-	}
-	return &traceSource{tr: tr, gapNs: gap}
-}
-
-func (s *traceSource) Next(dst []Request) int {
-	n := 0
-	for n < len(dst) && s.pos < len(s.tr) {
-		r := s.tr[s.pos]
-		dst[n] = Request{
-			Page:      r.Page(),
-			Write:     r.Op == trace.Write,
-			ArrivalNs: int64(s.clock),
-		}
-		s.clock += s.gapNs
-		s.pos++
-		n++
-	}
-	return n
-}

@@ -207,7 +207,7 @@ type WorkloadSpec struct {
 
 // RefreshSpec configures online model refresh.
 type RefreshSpec struct {
-	// Mode is "off" (default), "sync" or "async".
+	// Mode is "off" (default) or "sync".
 	Mode string `json:"mode,omitempty"`
 	// Window/Min are the refit sample window and its minimum fill
 	// (defaults 65536 / 4096).

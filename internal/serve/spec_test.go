@@ -118,6 +118,7 @@ func TestParseSpecRejects(t *testing.T) {
 		"unknown mode":          `{"version":1,"warmup":16000,"train":{"shot":128},"mode":"lru"}`,
 		"unknown ssd":           `{"version":1,"warmup":16000,"train":{"shot":128},"cache":{"ssd":"mlc"}}`,
 		"unknown refresh":       `{"version":1,"warmup":16000,"train":{"shot":128},"refresh":{"mode":"maybe"}}`,
+		"async refresh":         `{"version":1,"warmup":16000,"train":{"shot":128},"refresh":{"mode":"async"}}`,
 		"bad duration":          `{"version":1,"warmup":16000,"train":{"shot":128},"duration":"soon"}`,
 		"bad report":            `{"version":1,"warmup":16000,"train":{"shot":128},"report":-2}`,
 		"warmup too short":      `{"version":1,"warmup":1000,"train":{"shot":2000}}`,

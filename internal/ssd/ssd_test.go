@@ -110,3 +110,41 @@ func TestStats(t *testing.T) {
 		t.Error("accessors wrong")
 	}
 }
+
+// TestStateRoundTrip: a device restored from another's exported state serves
+// the next requests exactly as the original does — same completion times
+// (the channel busy horizons carry over), counters and mean latencies — and
+// a state with a different channel count is refused.
+func TestStateRoundTrip(t *testing.T) {
+	orig, _ := New(TLC(), 2)
+	for i := uint64(0); i < 6; i++ {
+		op := OpRead
+		if i%3 == 0 {
+			op = OpWrite
+		}
+		orig.Access(op, i, int64(i)*10_000)
+	}
+	restored, _ := New(TLC(), 2)
+	if err := restored.RestoreState(orig.State()); err != nil {
+		t.Fatal(err)
+	}
+	// Both channels are busy until past 1 ms, so these requests
+	// queue: their completion times depend on the restored horizons.
+	for i := uint64(0); i < 5; i++ {
+		op := OpRead
+		if i%2 == 0 {
+			op = OpWrite
+		}
+		now := 100_000 + int64(i)*5_000
+		if a, b := orig.Access(op, i, now), restored.Access(op, i, now); a != b {
+			t.Errorf("access %d done at %d on the original, %d restored", i, a, b)
+		}
+	}
+	if a, b := orig.Stats(), restored.Stats(); a != b {
+		t.Errorf("stats diverged: original %+v, restored %+v", a, b)
+	}
+	other, _ := New(TLC(), 3)
+	if err := other.RestoreState(orig.State()); err == nil {
+		t.Error("2-channel state restored into a 3-channel device")
+	}
+}
