@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gmm"
+	"repro/internal/policy"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -97,10 +98,8 @@ func run(tracePath, bench string, n int, seed int64, pol, modelPath string, cach
 	cfg.Overlap = !noOverlap
 	cfg.Workers = workers
 
-	needGMM := pol == "all" || pol == "gmm-caching-only" ||
-		pol == "gmm-eviction-only" || pol == "gmm-caching-eviction"
 	var tg *core.TrainedGMM
-	if needGMM {
+	if _, perr := policy.ParseGMMMode(pol); pol == "all" || perr == nil {
 		tg, err = trainOrLoad(tr, modelPath, cfg)
 		if err != nil {
 			return err

@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/gmm"
 	"repro/internal/serve"
 )
 
@@ -90,14 +91,21 @@ func main() {
 		log.Fatal(err)
 	}
 	const n = 512
+	var pages, times, fScores, qScores [n]float64
+	for i := range times {
+		times[i] = -0.05 + 1.10*float64(i)/float64(n-1)
+	}
+	var scratch gmm.Scratch
 	disagree, total := 0, 0
 	for pi := 0; pi < n; pi++ {
-		page := -0.05 + 1.10*float64(pi)/float64(n-1)
-		for ti := 0; ti < n; ti++ {
-			ts := -0.05 + 1.10*float64(ti)/float64(n-1)
-			fAdmit := fb.Scorer.ScorePageTime(page, ts) >= fb.Threshold
-			qAdmit := qb.Scorer.ScorePageTime(page, ts) >= qb.Threshold
-			if fAdmit != qAdmit {
+		// One grid row per batch: every point of the row shares its page.
+		for i := range pages {
+			pages[i] = -0.05 + 1.10*float64(pi)/float64(n-1)
+		}
+		fb.Scorer.ScorePageTimeBatchScratch(pages[:], times[:], fScores[:], &scratch)
+		qb.Scorer.ScorePageTimeBatchScratch(pages[:], times[:], qScores[:], &scratch)
+		for ti := range times {
+			if (fScores[ti] >= fb.Threshold) != (qScores[ti] >= qb.Threshold) {
 				disagree++
 			}
 			total++

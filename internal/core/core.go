@@ -254,8 +254,8 @@ func (tg *TrainedGMM) Scorer() policy.Scorer {
 }
 
 // Policy builds a fresh policy engine for the given Fig. 6 strategy. Each
-// call returns an independent engine (with its own Algorithm 1 clock), so
-// one trained model can drive several simulations.
+// call returns an independent engine (with its own score tables and
+// scratch), so one trained model can drive several simulations.
 func (tg *TrainedGMM) Policy(mode policy.GMMMode) *policy.GMM {
 	return tg.policyWithScores(mode, tg.Threshold, nil)
 }
@@ -282,31 +282,25 @@ func (tg *TrainedGMM) policyWithScores(mode policy.GMMMode, threshold float64, s
 }
 
 // PrescoreTrace computes the per-access GMM score for every request of the
-// trace in blocks (through the scorer's batch path when it has one), exactly
-// mirroring the timestamp clock a live policy engine would run. The returned
-// slice feeds policy replays via GMMConfig.Scores, replacing one inference
-// call per access with block evaluation; batched scoring is bit-identical to
-// live scoring, so replay results do not change.
+// trace in one batch, at the Algorithm 1 timestamp of each request's index —
+// the arrival index a live policy engine's cache numbers it with. The
+// returned slice feeds policy replays via GMMConfig.Scores, replacing one
+// inference call per miss with one batch; batched scoring is bit-identical
+// to live scoring, so replay results do not change.
 //
 // The scores are threshold- and mode-independent, so one prescoring pass
 // serves every policy variant replayed over the same trace.
 func (tg *TrainedGMM) PrescoreTrace(tr trace.Trace) []float64 {
+	tcfg := tg.Transform.Sanitized()
 	pages := make([]float64, len(tr))
 	times := make([]float64, len(tr))
-	tt := trace.NewTimestampTransformer(tg.Transform)
 	for i, rec := range tr {
-		pages[i], times[i] = tg.Norm.ApplyPageTime(rec.Page(), tt.Next())
+		ts := trace.Timestamp(uint64(i), tcfg.LenWindow, tcfg.LenAccessShot)
+		pages[i], times[i] = tg.Norm.ApplyPageTime(rec.Page(), ts)
 	}
 	scores := make([]float64, len(tr))
-	if bs, ok := tg.Scorer().(policy.ScratchBatchScorer); ok {
-		var scratch gmm.Scratch
-		bs.ScorePageTimeBatchScratch(pages, times, scores, &scratch)
-	} else {
-		s := tg.Scorer()
-		for i := range scores {
-			scores[i] = s.ScorePageTime(pages[i], times[i])
-		}
-	}
+	var scratch gmm.Scratch
+	tg.Scorer().ScorePageTimeBatchScratch(pages, times, scores, &scratch)
 	return scores
 }
 

@@ -163,7 +163,7 @@ func TestTrainProducesUsableEngine(t *testing.T) {
 	if tg.Quantized.K() != tg.Result.Model.K() {
 		t.Error("quantized model K mismatch")
 	}
-	// Each Policy() call must be independent (fresh Algorithm 1 clock).
+	// Each Policy() call must be independent (fresh score tables).
 	p1 := tg.Policy(policy.GMMCachingEviction)
 	p2 := tg.Policy(policy.GMMCachingEviction)
 	if p1 == p2 {

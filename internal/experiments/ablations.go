@@ -148,12 +148,16 @@ func Ablation1D(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// spatialOnly wraps a scorer and discards the temporal coordinate, so the
-// policy effectively runs a 1-D GMM.
-type spatialOnly struct{ s policy.Scorer }
+// spatialOnly wraps a model and scores every point at normalized time 0,
+// discarding the temporal coordinate, so the policy effectively runs a 1-D
+// GMM.
+type spatialOnly struct{ m *gmm.Model }
 
-func (w spatialOnly) ScorePageTime(page, _ float64) float64 {
-	return w.s.ScorePageTime(page, 0)
+func (w spatialOnly) ScorePageTimeBatchScratch(pages, _, dst []float64, s *gmm.Scratch) {
+	var zero [1]float64
+	for i := range pages {
+		w.m.ScorePageTimeBatchScratch(pages[i:i+1], zero[:], dst[i:i+1], s)
+	}
 }
 
 // AblationThreshold sweeps the admission-threshold quantile.

@@ -30,24 +30,11 @@ func (o Options) configFor(s engine.Scenario) core.Config {
 	return cfg
 }
 
-// gmmMode maps a GMM policy name to its strategy; ok is false for baseline
-// policies, which need no trained model.
-func gmmMode(pol string) (mode policy.GMMMode, ok bool) {
-	switch pol {
-	case "gmm-caching-only":
-		return policy.GMMCachingOnly, true
-	case "gmm-eviction-only":
-		return policy.GMMEvictionOnly, true
-	case "gmm-caching-eviction":
-		return policy.GMMCachingEviction, true
-	}
-	return 0, false
-}
-
-// needsGMM reports whether the scenario's policy requires a trained model.
+// needsGMM reports whether the scenario's policy requires a trained model:
+// the GMM policies do, the baselines do not.
 func needsGMM(pol string) bool {
-	_, ok := gmmMode(pol)
-	return ok
+	_, err := policy.ParseGMMMode(pol)
+	return err == nil
 }
 
 // PolicyByName builds the named cache policy. GMM policies draw on the
@@ -74,15 +61,12 @@ func PolicyByName(name string, tr trace.Trace, tg *core.TrainedGMM, cfg core.Con
 		return policy.NewBelady(tr, false), 0, nil
 	case "belady-bypass":
 		return policy.NewBelady(tr, true), 0, nil
-	case "gmm-caching-only":
-		return tg.Policy(policy.GMMCachingOnly), cfg.GMMInference, nil
-	case "gmm-eviction-only":
-		return tg.Policy(policy.GMMEvictionOnly), cfg.GMMInference, nil
-	case "gmm-caching-eviction":
-		return tg.Policy(policy.GMMCachingEviction), cfg.GMMInference, nil
-	default:
+	}
+	mode, err := policy.ParseGMMMode(name)
+	if err != nil {
 		return nil, 0, fmt.Errorf("experiments: unknown policy %q", name)
 	}
+	return tg.Policy(mode), cfg.GMMInference, nil
 }
 
 // trainKey identifies the (trace, training-config) combination a scenario's
@@ -195,7 +179,7 @@ func (gp *gridPrep) run(s engine.Scenario) (ScenarioResult, error) {
 	tr := gp.traceFor(s)
 	var pol cache.Policy
 	var overhead time.Duration
-	if mode, ok := gmmMode(s.Policy); ok {
+	if mode, err := policy.ParseGMMMode(s.Policy); err == nil {
 		m := gp.models[gp.trainIdx[scenarioKey(s)]]
 		pol, overhead = m.tg.PolicyPrescored(mode, m.scores), cfg.GMMInference
 	} else {

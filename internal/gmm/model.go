@@ -117,12 +117,15 @@ func newPrepared(components []Component) (*Model, error) {
 func (m *Model) K() int { return len(m.Components) }
 
 // Score evaluates the mixture density G(x) = sum_k pi_k N(x | mu_k, Sigma_k),
-// the paper's Eq. 3. Higher scores predict more frequent future access.
+// the paper's Eq. 3, over every component. Higher scores predict more
+// frequent future access. Scoring goes through ScorePageTimeBatchScratch;
+// Score, ScorePageTime and LogScore are the dense reference it is tested
+// against, bit for bit.
 func (m *Model) Score(x linalg.Vec2) float64 {
 	return math.Exp(m.LogScore(x))
 }
 
-// ScorePageTime is a convenience wrapper taking the two GMM inputs directly.
+// ScorePageTime is Score taking the two GMM inputs directly.
 func (m *Model) ScorePageTime(page, timestamp float64) float64 {
 	return m.Score(linalg.V2(page, timestamp))
 }
@@ -150,14 +153,16 @@ func (m *Model) LogScore(x linalg.Vec2) float64 {
 }
 
 // MeanLogLikelihood returns the average log density over the points, the
-// quantity EM monitors for convergence.
+// likelihood term of BIC and AIC, scored through the candidate kernel.
 func (m *Model) MeanLogLikelihood(points []linalg.Vec2) float64 {
 	if len(points) == 0 {
 		return 0
 	}
+	var s Scratch
+	ld := s.terms(len(m.bundle.terms))
 	sum := 0.0
 	for _, p := range points {
-		sum += m.LogScore(p)
+		sum += m.bundle.logScore(p.X, p.Y, ld)
 	}
 	return sum / float64(len(points))
 }

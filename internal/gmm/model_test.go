@@ -108,6 +108,29 @@ func TestMeanLogLikelihood(t *testing.T) {
 	if ll >= 0 {
 		t.Errorf("LL = %v, densities < 1 should give negative LL", ll)
 	}
+	// Through the candidate kernel, the mean keeps the dense mean's bits on
+	// models whose grid prunes terms.
+	rng := rand.New(rand.NewSource(23))
+	pruned := 0
+	for mi := 0; mi < 20; mi++ {
+		m := randomLSEModel(t, rng, 5)
+		xs, ys := lsePoints(rng, modelMeans(m))
+		pts = pts[:0]
+		dense := 0.0
+		for i := range xs {
+			if p := linalg.V2(xs[i], ys[i]); p.IsFinite() {
+				pts = append(pts, p)
+				dense += m.LogScore(p)
+			}
+		}
+		if got, want := m.MeanLogLikelihood(pts), dense/float64(len(pts)); !sameBits(got, want) {
+			t.Fatalf("model %d: MeanLogLikelihood %v, dense mean %v", mi, got, want)
+		}
+		pruned += prunedTerms(&m.bundle, xs, ys)
+	}
+	if pruned == 0 {
+		t.Fatal("the grid pruned no term, so the comparison proves nothing")
+	}
 }
 
 func TestValidate(t *testing.T) {

@@ -39,11 +39,6 @@ func (m Mat2) Mul(n Mat2) Mat2 {
 	}
 }
 
-// MulVec returns m*v.
-func (m Mat2) MulVec(v Vec2) Vec2 {
-	return Vec2{m.A*v.X + m.B*v.Y, m.C*v.X + m.D*v.Y}
-}
-
 // Transpose returns m^T.
 func (m Mat2) Transpose() Mat2 { return Mat2{m.A, m.C, m.B, m.D} }
 
@@ -108,11 +103,6 @@ func (s Sym2) Scale(c float64) Sym2 {
 // Mat returns the symmetric matrix as a general Mat2.
 func (s Sym2) Mat() Mat2 { return Mat2{A: s.XX, B: s.XY, C: s.XY, D: s.YY} }
 
-// MulVec returns s*v.
-func (s Sym2) MulVec(v Vec2) Vec2 {
-	return Vec2{s.XX*v.X + s.XY*v.Y, s.XY*v.X + s.YY*v.Y}
-}
-
 // Det returns the determinant of s.
 func (s Sym2) Det() float64 { return s.XX*s.YY - s.XY*s.XY }
 
@@ -133,22 +123,6 @@ func (s Sym2) Inverse() (Sym2, bool) {
 // criterion (leading principal minors strictly positive).
 func (s Sym2) IsPositiveDefinite() bool {
 	return s.XX > 0 && s.Det() > 0
-}
-
-// Cholesky returns the lower-triangular factor L with s = L*L^T, and whether
-// the factorization exists (s must be positive definite). L is returned as a
-// Mat2 with B == 0.
-func (s Sym2) Cholesky() (Mat2, bool) {
-	if !s.IsPositiveDefinite() {
-		return Mat2{}, false
-	}
-	l11 := math.Sqrt(s.XX)
-	l21 := s.XY / l11
-	rem := s.YY - l21*l21
-	if rem <= 0 {
-		return Mat2{}, false
-	}
-	return Mat2{A: l11, B: 0, C: l21, D: math.Sqrt(rem)}, true
 }
 
 // QuadForm returns v^T * s * v.

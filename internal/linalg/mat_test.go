@@ -20,13 +20,6 @@ func TestMat2Mul(t *testing.T) {
 	}
 }
 
-func TestMat2MulVec(t *testing.T) {
-	m := Mat2{A: 1, B: 2, C: 3, D: 4}
-	if got := m.MulVec(V2(1, 1)); got != V2(3, 7) {
-		t.Errorf("MulVec = %v, want (3, 7)", got)
-	}
-}
-
 func TestMat2AddSubScale(t *testing.T) {
 	m := Mat2{A: 1, B: 2, C: 3, D: 4}
 	n := Mat2{A: 5, B: -6, C: 7, D: 0.5}
@@ -55,11 +48,6 @@ func TestSym2Arithmetic(t *testing.T) {
 	}
 	if got, want := s.Scale(2), (Sym2{XX: 4, XY: 1, YY: 6}); got != want {
 		t.Errorf("Scale = %v, want %v", got, want)
-	}
-	// MulVec agrees with the general matrix form.
-	v := V2(-1.5, 2)
-	if got, want := s.MulVec(v), s.Mat().MulVec(v); got != want {
-		t.Errorf("MulVec = %v, want %v", got, want)
 	}
 	if got, want := s.String(), "[[2 0.5] [0.5 3]]"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
@@ -135,26 +123,6 @@ func TestSym2PositiveDefinite(t *testing.T) {
 		if got := c.s.IsPositiveDefinite(); got != c.want {
 			t.Errorf("IsPositiveDefinite(%v) = %v, want %v", c.s, got, c.want)
 		}
-	}
-}
-
-func TestSym2Cholesky(t *testing.T) {
-	s := Sym2{XX: 4, XY: 2, YY: 3}
-	l, ok := s.Cholesky()
-	if !ok {
-		t.Fatal("PD matrix has no Cholesky factor")
-	}
-	// Reconstruct L * L^T.
-	re := l.Mul(l.Transpose())
-	if !almostEq(re.A, s.XX, 1e-12) || !almostEq(re.B, s.XY, 1e-12) ||
-		!almostEq(re.D, s.YY, 1e-12) {
-		t.Errorf("L*L^T = %v, want %v", re, s)
-	}
-	if l.B != 0 {
-		t.Error("Cholesky factor is not lower triangular")
-	}
-	if _, ok := (Sym2{XX: -1, YY: 1}).Cholesky(); ok {
-		t.Error("non-PD matrix factored")
 	}
 }
 
@@ -260,23 +228,6 @@ func TestDetMultiplicative(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Cholesky round-trips every PD matrix.
-func TestCholeskyRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for i := 0; i < 500; i++ {
-		s := randPD(r)
-		l, ok := s.Cholesky()
-		if !ok {
-			t.Fatalf("PD matrix %v not factored", s)
-		}
-		re := l.Mul(l.Transpose())
-		if !almostEq(re.A, s.XX, 1e-9) || !almostEq(re.C, s.XY, 1e-9) ||
-			!almostEq(re.D, s.YY, 1e-9) {
-			t.Fatalf("round-trip %v != %v", re, s)
-		}
 	}
 }
 

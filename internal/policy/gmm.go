@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -9,44 +10,22 @@ import (
 	"repro/internal/trace"
 )
 
-// Scorer predicts future access frequency from a normalized (page,
-// timestamp) pair. Both the float gmm.Model and the fixed-point
-// gmm.QuantizedModel satisfy it.
+// Scorer predicts future access frequency from normalized (page, timestamp)
+// pairs. Both the float gmm.Model and the fixed-point gmm.QuantizedModel
+// satisfy it, through their candidate-mask kernel. Every batching of the same
+// points scores the same bits, so callers batch however suits them — the
+// serving path and the offline policy score one miss at a time.
 type Scorer interface {
-	ScorePageTime(page, timestamp float64) float64
-}
-
-// ScratchBatchScorer is implemented by scorers that can evaluate blocks of
-// points in one call through caller-owned gmm.Scratch (gmm.Model and
-// gmm.QuantizedModel do), so a caller that keeps one scratch per concurrent
-// scoring context (the serving path keeps one per partition) allocates
-// nothing at steady state. Batched and per-call scoring must be
-// bit-identical so callers may use either path without perturbing
-// simulation results.
-type ScratchBatchScorer interface {
-	Scorer
 	// ScorePageTimeBatchScratch fills dst[i] with the score at (pages[i],
-	// times[i]) through s; s may not be shared by concurrent callers.
+	// times[i]) through s, which may not be shared by concurrent callers;
+	// a caller that keeps one scratch per scoring context allocates nothing
+	// at steady state.
 	ScorePageTimeBatchScratch(pages, times, dst []float64, s *gmm.Scratch)
 }
 
-// ScoreSamples evaluates the scorer over normalized samples, using the
-// batch path when the scorer provides one.
-func ScoreSamples(s Scorer, samples []trace.Sample, dst []float64) {
-	if bs, ok := s.(ScratchBatchScorer); ok {
-		pages := make([]float64, len(samples))
-		times := make([]float64, len(samples))
-		for i, sm := range samples {
-			pages[i], times[i] = sm.Page, sm.Timestamp
-		}
-		var scratch gmm.Scratch
-		bs.ScorePageTimeBatchScratch(pages, times, dst, &scratch)
-		return
-	}
-	for i, sm := range samples {
-		dst[i] = s.ScorePageTime(sm.Page, sm.Timestamp)
-	}
-}
+// ScratchBatchScorer is Scorer under its former name, kept as an alias
+// because cmd/icgmm-bench still asserts to it.
+type ScratchBatchScorer = Scorer
 
 // GMMMode selects which of the paper's three strategies (Fig. 6) the policy
 // applies.
@@ -74,6 +53,17 @@ func (m GMMMode) String() string {
 	}
 }
 
+// ParseGMMMode maps a Fig. 6 legend name, as String spells it, back to its
+// mode.
+func ParseGMMMode(s string) (GMMMode, error) {
+	for _, m := range []GMMMode{GMMCachingOnly, GMMEvictionOnly, GMMCachingEviction} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown GMM mode %q (valid: gmm-caching-only|gmm-eviction-only|gmm-caching-eviction)", s)
+}
+
 // GMM is the paper's cache policy engine (Sec. 3.2): on a miss the GMM
 // scores the requested page from its page index and transformed timestamp;
 // pages scoring below the threshold are not cached (smart caching), and when
@@ -84,7 +74,7 @@ type GMM struct {
 	base
 	scorer    Scorer
 	norm      trace.Normalizer
-	tt        *trace.TimestampTransformer
+	tcfg      trace.TransformConfig // sanitized: the Algorithm 1 windowing
 	threshold float64
 	mode      GMMMode
 
@@ -96,13 +86,17 @@ type GMM struct {
 	// pass per miss in hardware.
 	curScore float64
 	curValid bool
-	curTime  int
 
-	// pre holds precomputed per-access scores (index = arrival order) when
-	// the caller batch-scored the replay up front; accesses beyond its
-	// length fall back to live inference. reqIdx counts OnAccess calls.
-	pre    []float64
-	reqIdx int
+	// missPage, missTime and missScore are the live miss's one-point
+	// scoring buffers, and scratch its kernel workspace, so a miss scores
+	// without allocating.
+	missPage, missTime, missScore [1]float64
+	scratch                       gmm.Scratch
+
+	// pre holds precomputed per-access scores (index = arrival order,
+	// cache.Request.Seq) when the caller batch-scored the replay up front;
+	// accesses beyond its length fall back to live inference.
+	pre []float64
 
 	// provided is a one-slot score supplied by ProvideScore for the next
 	// access; it takes precedence over both pre and live inference.
@@ -138,7 +132,7 @@ func NewGMM(cfg GMMConfig) *GMM {
 	return &GMM{
 		scorer:    cfg.Scorer,
 		norm:      cfg.Normalizer,
-		tt:        trace.NewTimestampTransformer(cfg.Transform),
+		tcfg:      cfg.Transform.Sanitized(),
 		threshold: cfg.Threshold,
 		mode:      cfg.Mode,
 		pre:       cfg.Scores,
@@ -160,13 +154,13 @@ func (p *GMM) Threshold() float64 { return p.threshold }
 func (p *GMM) SetThreshold(th float64) { p.threshold = th }
 
 // ProvideScore supplies the GMM score for the next access, overriding both
-// the precomputed-score slice and live inference. The serving pipeline uses
-// it after batch-scoring a whole request batch with globally-derived
-// timestamps: each shard pushes the request's score immediately before
-// presenting the request to its cache, so per-shard policies never run their
-// own (shard-local, hence wrong) Algorithm 1 clocks. The slot holds exactly
-// one score and is consumed by the access that follows; callers must provide
-// a score before every access or none.
+// the precomputed-score slice and live inference. A replay that splits one
+// request stream across several caches uses it: it batch-scores the stream at
+// the stream's own arrival indices and pushes each request's score just
+// before presenting the request, since a per-cache index would give the
+// wrong Algorithm 1 timestamps. The slot holds exactly one score and is
+// consumed by the access that follows; callers must provide a score before
+// every access or none.
 func (p *GMM) ProvideScore(s float64) {
 	p.provided = s
 	p.hasProvided = true
@@ -182,29 +176,28 @@ func (p *GMM) Attach(numSets, ways int) {
 	p.lastUse = p.meta()
 }
 
-// OnAccess implements cache.Policy. Every request advances the Algorithm 1
-// window clock, whether it hits or misses.
-func (p *GMM) OnAccess(req cache.Request) {
-	p.curTime = p.tt.Next()
-	p.curValid = false
-	p.reqIdx++
-}
+// OnAccess implements cache.Policy: it retires the previous access's
+// memoized score.
+func (p *GMM) OnAccess(cache.Request) { p.curValid = false }
 
-// score returns the GMM score for the current request: the precomputed
-// per-access score when the replay was batch-scored up front, one live
-// inference otherwise.
-func (p *GMM) score(page uint64) float64 {
+// score returns the GMM score for the current request: a provided score,
+// the precomputed per-access score when the replay was batch-scored up
+// front, or one live inference at the request's Algorithm 1 timestamp,
+// which its arrival index fixes — hits advance the clock too.
+func (p *GMM) score(req cache.Request) float64 {
 	if p.curValid {
 		return p.curScore
 	}
 	if p.hasProvided {
 		p.curScore = p.provided
 		p.hasProvided = false
-	} else if i := p.reqIdx - 1; i >= 0 && i < len(p.pre) {
-		p.curScore = p.pre[i]
+	} else if req.Seq < uint64(len(p.pre)) {
+		p.curScore = p.pre[req.Seq]
 	} else {
-		np, nt := p.norm.ApplyPageTime(page, p.curTime)
-		p.curScore = p.scorer.ScorePageTime(np, nt)
+		ts := trace.Timestamp(req.Seq, p.tcfg.LenWindow, p.tcfg.LenAccessShot)
+		p.missPage[0], p.missTime[0] = p.norm.ApplyPageTime(req.Page, ts)
+		p.scorer.ScorePageTimeBatchScratch(p.missPage[:], p.missTime[:], p.missScore[:], &p.scratch)
+		p.curScore = p.missScore[0]
 	}
 	p.curValid = true
 	return p.curScore
@@ -220,10 +213,10 @@ func (p *GMM) OnHit(setIdx, way int, req cache.Request) {
 func (p *GMM) Admit(req cache.Request) bool {
 	if p.mode == GMMEvictionOnly {
 		// Smart eviction still needs the score recorded at insertion.
-		p.score(req.Page)
+		p.score(req)
 		return true
 	}
-	return p.score(req.Page) >= p.threshold
+	return p.score(req) >= p.threshold
 }
 
 // Victim implements cache.Policy.
@@ -253,7 +246,7 @@ func (p *GMM) OnEvict(int, int, uint64) {}
 // OnInsert implements cache.Policy: the score computed on the miss is stored
 // alongside the tag, substituting for the LRU counter (Sec. 3.2).
 func (p *GMM) OnInsert(setIdx, way int, req cache.Request) {
-	p.scores[setIdx][way] = p.score(req.Page)
+	p.scores[setIdx][way] = p.score(req)
 	p.lastUse[setIdx][way] = req.Seq
 }
 
@@ -281,12 +274,15 @@ func CalibrateThresholds(s Scorer, samples []trace.Sample, pcts []float64) []flo
 	if len(samples) > maxN {
 		stride = len(samples) / maxN
 	}
-	sub := make([]trace.Sample, 0, maxN)
+	pages := make([]float64, 0, maxN)
+	times := make([]float64, 0, maxN)
 	for i := 0; i < len(samples); i += stride {
-		sub = append(sub, samples[i])
+		pages = append(pages, samples[i].Page)
+		times = append(times, samples[i].Timestamp)
 	}
-	scores := make([]float64, len(sub))
-	ScoreSamples(s, sub, scores)
+	scores := make([]float64, len(pages))
+	var scratch gmm.Scratch
+	s.ScorePageTimeBatchScratch(pages, times, scores, &scratch)
 	kept := scores[:0]
 	for _, sc := range scores {
 		if !math.IsNaN(sc) {

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -16,11 +17,13 @@ type stubScorer struct {
 	hot map[int]bool
 }
 
-func (s stubScorer) ScorePageTime(page, _ float64) float64 {
-	if s.hot[int(page*1000+0.5)] {
-		return 1.0
+func (s stubScorer) ScorePageTimeBatchScratch(pages, _, dst []float64, _ *gmm.Scratch) {
+	for i, page := range pages {
+		dst[i] = 0.01
+		if s.hot[int(page*1000+0.5)] {
+			dst[i] = 1.0
+		}
 	}
-	return 0.01
 }
 
 func stubNorm() trace.Normalizer {
@@ -135,14 +138,18 @@ func TestGMMScoreMemoizedPerAccess(t *testing.T) {
 
 type countingScorer struct{ calls int }
 
-func (c *countingScorer) ScorePageTime(_, _ float64) float64 {
-	c.calls++
-	return 1
+func (c *countingScorer) ScorePageTimeBatchScratch(pages, _, dst []float64, _ *gmm.Scratch) {
+	for i := range pages {
+		c.calls++
+		dst[i] = 1
+	}
 }
 
-func TestGMMWithRealModel(t *testing.T) {
-	// Train a real GMM on a two-cluster trace and check the policy admits
-	// hot-cluster pages and rejects cold ones.
+// fitHotBand fits a K=4 GMM on a trace cycling through the hot band of
+// pages 100..139, returning the model, its normalizer and the normalized
+// training samples.
+func fitHotBand(t *testing.T) (*gmm.Model, trace.Normalizer, []trace.Sample) {
+	t.Helper()
 	var tr trace.Trace
 	for i := 0; i < 30000; i++ {
 		page := uint64(100 + i%40) // hot band: pages 100..139
@@ -154,10 +161,16 @@ func TestGMMWithRealModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := norm.ApplyAll(trace.Preprocess(tr, trace.DefaultTransformConfig()))
-	th := CalibrateThreshold(res.Model, samples, 0.05)
+	return res.Model, norm, norm.ApplyAll(trace.Preprocess(tr, trace.DefaultTransformConfig()))
+}
+
+func TestGMMWithRealModel(t *testing.T) {
+	// Train a real GMM on a two-cluster trace and check the policy admits
+	// hot-cluster pages and rejects cold ones.
+	m, norm, samples := fitHotBand(t)
+	th := CalibrateThreshold(m, samples, 0.05)
 	p := NewGMM(GMMConfig{
-		Scorer:     res.Model,
+		Scorer:     m,
 		Normalizer: norm,
 		Transform:  trace.DefaultTransformConfig(),
 		Threshold:  th,
@@ -250,9 +263,11 @@ func TestGMMTimestampAdvancesOnHits(t *testing.T) {
 
 type timeRecordingScorer struct{ times []float64 }
 
-func (s *timeRecordingScorer) ScorePageTime(_, ts float64) float64 {
-	s.times = append(s.times, ts)
-	return 1
+func (s *timeRecordingScorer) ScorePageTimeBatchScratch(_, times, dst []float64, _ *gmm.Scratch) {
+	for i, ts := range times {
+		s.times = append(s.times, ts)
+		dst[i] = 1
+	}
 }
 
 func TestGMMProvideScoreOverridesInference(t *testing.T) {
@@ -302,5 +317,57 @@ func TestGMMSetThreshold(t *testing.T) {
 	p.OnAccess(cache.Request{Page: 3, Seq: 1})
 	if !p.Admit(cache.Request{Page: 3, Seq: 1}) {
 		t.Fatal("hot page rejected after restoring threshold")
+	}
+}
+
+// TestGMMLiveMissAllocs pins the offline policy's live miss: on a fitted
+// model, float and Q16.16 alike, it scores the dense reference's bits at the
+// request's Algorithm 1 timestamp, and once the policy's scratch has grown to
+// the model's K it allocates nothing.
+func TestGMMLiveMissAllocs(t *testing.T) {
+	m, norm, _ := fitHotBand(t)
+	qm, rep := gmm.Quantize(m)
+	if rep.Saturated > 0 {
+		t.Fatalf("test model saturated %d constants", rep.Saturated)
+	}
+	tcfg := trace.TransformConfig{LenWindow: 4, LenAccessShot: 50}
+	for _, c := range []struct {
+		name   string
+		scorer Scorer
+		dense  func(page, ts float64) float64
+	}{
+		{"float64", m, m.ScorePageTime},
+		{"q16", qm, qm.ScorePageTime},
+	} {
+		p := NewGMM(GMMConfig{Scorer: c.scorer, Normalizer: norm, Transform: tcfg, Mode: GMMCachingEviction})
+		p.Attach(16, 4)
+		var seq uint64
+		miss := func() {
+			req := cache.Request{Page: 90 + seq%60, Seq: seq}
+			p.OnAccess(req)
+			p.Admit(req)
+			seq++
+		}
+		for i := 0; i < 300; i++ {
+			miss()
+			np, nt := norm.ApplyPageTime(90+uint64(i%60), trace.Timestamp(uint64(i), tcfg.LenWindow, tcfg.LenAccessShot))
+			if want := c.dense(np, nt); p.curScore != want {
+				t.Fatalf("%s: miss %d scored %v, dense reference %v", c.name, i, p.curScore, want)
+			}
+		}
+		if got := testing.AllocsPerRun(200, miss); got != 0 {
+			t.Errorf("%s: a live miss allocates %v times, want 0", c.name, got)
+		}
+	}
+}
+
+func TestParseGMMMode(t *testing.T) {
+	for _, m := range []GMMMode{GMMCachingOnly, GMMEvictionOnly, GMMCachingEviction} {
+		if got, err := ParseGMMMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseGMMMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	if _, err := ParseGMMMode("lru"); err == nil || !strings.Contains(err.Error(), "gmm-caching-eviction") {
+		t.Errorf("ParseGMMMode(lru) error %v does not list the valid modes", err)
 	}
 }

@@ -21,7 +21,7 @@ type LSTMPolicy struct {
 	base
 	net       *lstm.Network
 	norm      trace.Normalizer
-	tt        *trace.TimestampTransformer
+	tcfg      trace.TransformConfig // sanitized: the Algorithm 1 windowing
 	threshold float64
 	evict     bool // use predictions for eviction
 	admit     bool // use predictions for admission
@@ -35,7 +35,6 @@ type LSTMPolicy struct {
 
 	curScore float64
 	curValid bool
-	curTime  int
 
 	// Inferences counts sequence evaluations, the quantity the hardware
 	// cost model multiplies by 46.3 ms.
@@ -48,7 +47,7 @@ type LSTMPolicyConfig struct {
 	Net *lstm.Network
 	// Normalizer maps raw inputs into the network's training coordinates.
 	Normalizer trace.Normalizer
-	// Transform supplies the Algorithm 1 clock.
+	// Transform supplies the Algorithm 1 windowing parameters.
 	Transform trace.TransformConfig
 	// Threshold is the admission cutoff on the predicted frequency.
 	Threshold float64
@@ -63,7 +62,7 @@ func NewLSTMPolicy(cfg LSTMPolicyConfig) *LSTMPolicy {
 	p := &LSTMPolicy{
 		net:       cfg.Net,
 		norm:      cfg.Normalizer,
-		tt:        trace.NewTimestampTransformer(cfg.Transform),
+		tcfg:      cfg.Transform.Sanitized(),
 		threshold: cfg.Threshold,
 		admit:     cfg.Admission,
 		evict:     cfg.Eviction,
@@ -89,14 +88,15 @@ func (p *LSTMPolicy) Attach(numSets, ways int) {
 	p.lastUse = p.meta()
 }
 
-// OnAccess implements cache.Policy: every request advances the clock and
-// shifts the observation window, mirroring the GMM engine's OnAccess.
+// OnAccess implements cache.Policy: every request shifts the observation
+// window, stamped with its Algorithm 1 timestamp (a pure function of its
+// arrival index, as in the GMM engine).
 func (p *LSTMPolicy) OnAccess(req cache.Request) {
-	p.curTime = p.tt.Next()
+	ts := trace.Timestamp(req.Seq, p.tcfg.LenWindow, p.tcfg.LenAccessShot)
 	// Overwrite the oldest row in place: State deep-copies the rows and
 	// RestoreState copies them back, so nothing outside the ring aliases it.
 	row := p.window[p.wpos]
-	row[0], row[1] = p.norm.ApplyPageTime(req.Page, p.curTime)
+	row[0], row[1] = p.norm.ApplyPageTime(req.Page, ts)
 	p.wpos = (p.wpos + 1) % len(p.window)
 	if p.wcount < len(p.window) {
 		p.wcount++
@@ -173,9 +173,11 @@ func (p *LSTMPolicy) OnInsert(setIdx, way int, req cache.Request) {
 
 // LSTMPolicyState is the policy's full mutable state minus the network
 // weights: the observation window ring, the per-block score and recency
-// tables, the memoized current score, and the Algorithm 1 clock. Weights are
-// excluded deliberately — a shadow policy retrains them deterministically
-// from the spec, so checkpoints stay small.
+// tables, and the memoized current score. Weights are excluded deliberately —
+// a shadow policy retrains them deterministically from the spec, so
+// checkpoints stay small. The Algorithm 1 clock is not here either: it is a
+// function of the attached cache's arrival index, which the cache's own
+// state carries.
 type LSTMPolicyState struct {
 	Window     [][]float64 `json:"window"`
 	WPos       int         `json:"wpos"`
@@ -184,11 +186,7 @@ type LSTMPolicyState struct {
 	LastUse    [][]uint64  `json:"last_use"`
 	CurScore   float64     `json:"cur_score,omitempty"`
 	CurValid   bool        `json:"cur_valid,omitempty"`
-	CurTime    int         `json:"cur_time,omitempty"`
 	Inferences uint64      `json:"inferences,omitempty"`
-	// ClockTimestamp/ClockIndex are the timestamp transformer's cursor.
-	ClockTimestamp int `json:"clock_timestamp,omitempty"`
-	ClockIndex     int `json:"clock_index,omitempty"`
 }
 
 // State exports the policy's mutable state.
@@ -201,10 +199,8 @@ func (p *LSTMPolicy) State() LSTMPolicyState {
 		LastUse:    make([][]uint64, len(p.lastUse)),
 		CurScore:   p.curScore,
 		CurValid:   p.curValid,
-		CurTime:    p.curTime,
 		Inferences: p.Inferences,
 	}
-	s.ClockTimestamp, s.ClockIndex = p.tt.State()
 	for i := range p.window {
 		s.Window[i] = append([]float64(nil), p.window[i]...)
 	}
@@ -241,9 +237,6 @@ func (p *LSTMPolicy) RestoreState(s LSTMPolicyState) error {
 			return fmt.Errorf("policy: lstm state set %d way count mismatch", i)
 		}
 	}
-	if err := p.tt.RestoreState(s.ClockTimestamp, s.ClockIndex); err != nil {
-		return err
-	}
 	for i := range s.Window {
 		p.window[i] = append([]float64(nil), s.Window[i]...)
 	}
@@ -252,7 +245,7 @@ func (p *LSTMPolicy) RestoreState(s LSTMPolicyState) error {
 		copy(p.lastUse[i], s.LastUse[i])
 	}
 	p.wpos, p.wcount = s.WPos, s.WCount
-	p.curScore, p.curValid, p.curTime = s.CurScore, s.CurValid, s.CurTime
+	p.curScore, p.curValid = s.CurScore, s.CurValid
 	p.Inferences = s.Inferences
 	return nil
 }

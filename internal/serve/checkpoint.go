@@ -219,11 +219,7 @@ func (s *Session) checkpointTo(w io.Writer) error {
 	if s.svc.metrics.err != nil {
 		return fmt.Errorf("serve: metrics sink: %w", s.svc.metrics.err)
 	}
-	st, err := s.svc.exportState()
-	if err != nil {
-		return err
-	}
-	doc := checkpointDoc{Format: checkpointFormat, Spec: s.spec, State: st}
+	doc := checkpointDoc{Format: checkpointFormat, Spec: s.spec, State: s.svc.exportState()}
 	doc.Source.Remaining = s.spec.EffectiveOps() - s.svc.seq
 	switch {
 	case s.mux != nil:
@@ -307,18 +303,14 @@ func Resume(r io.Reader, metrics io.Writer) (*Session, error) {
 }
 
 // exportState captures the service's mutable state at a batch boundary.
-func (s *Service) exportState() (serviceState, error) {
-	bs, err := exportBundle(s.refresher.bundle)
-	if err != nil {
-		return serviceState{}, err
-	}
+func (s *Service) exportState() serviceState {
 	st := serviceState{
 		Seq:                s.seq,
 		Batches:            s.batches,
 		IntervalThroughput: s.intervalThroughput.State(),
 		LastIntervalOps:    s.lastIntervalOps,
 		LastMakespanNs:     s.lastMakespan,
-		Bundle:             bs,
+		Bundle:             exportBundle(s.refresher.bundle),
 		Refresher: refresherState{
 			Started:     s.refresher.started,
 			Installed:   s.refresher.installed,
@@ -408,7 +400,7 @@ func (s *Service) exportState() (serviceState, error) {
 		}
 		st.Partitions[i] = ps
 	}
-	return st, nil
+	return st
 }
 
 // restoreState replaces the freshly-built service's mutable state with the
@@ -544,28 +536,20 @@ func (s *Service) restoreState(st serviceState) error {
 // float model: under q16 scoring the quantized form is a pure function of it
 // (and of the spec's scoring field), so resume re-derives it bit-identically
 // instead of widening the wire format.
-func exportBundle(b *Bundle) (bundleState, error) {
-	model := b.Model
-	if model == nil {
-		var ok bool
-		model, ok = b.Scorer.(*gmm.Model)
-		if !ok {
-			return bundleState{}, fmt.Errorf("serve: cannot checkpoint scorer of type %T without its float model", b.Scorer)
-		}
-	}
+func exportBundle(b *Bundle) bundleState {
 	bs := bundleState{
-		Components: make([]componentState, len(model.Components)),
+		Components: make([]componentState, len(b.Model.Components)),
 		Norm:       b.Norm,
 		Threshold:  b.Threshold,
 	}
-	for i, c := range model.Components {
+	for i, c := range b.Model.Components {
 		bs.Components[i] = componentState{
 			Weight: c.Weight,
 			Mean:   [2]float64{c.Mean.X, c.Mean.Y},
 			Cov:    [3]float64{c.Cov.XX, c.Cov.XY, c.Cov.YY},
 		}
 	}
-	return bs, nil
+	return bs
 }
 
 // restore rebuilds the bundle, bit-identically: components are fed through
@@ -586,14 +570,9 @@ func (bs bundleState) restore(kind ScoringKind) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: restoring checkpoint bundle: %w", err)
 	}
-	b := &Bundle{Model: model, Scorer: model, Norm: bs.Norm, Threshold: bs.Threshold}
-	if kind == ScoringQ16 {
-		qm, rep := gmm.Quantize(model)
-		if rep.Saturated > 0 {
-			return nil, fmt.Errorf("serve: restoring checkpoint bundle: %d model constants saturate Q16.16", rep.Saturated)
-		}
-		b.Scorer = qm
-		b.Quant = rep
+	b := &Bundle{Model: model, Norm: bs.Norm, Threshold: bs.Threshold}
+	if !b.deriveScorer(kind) {
+		return nil, fmt.Errorf("serve: restoring checkpoint bundle: %d model constants saturate Q16.16", b.Quant.Saturated)
 	}
 	return b, nil
 }

@@ -115,15 +115,57 @@ func TestSampleWindow(t *testing.T) {
 	}
 }
 
+// TestTimestampForMatchesTransformer requires the timestamp the ingest loop
+// assigns each request to equal a line-by-line Algorithm 1 cursor. The zero
+// TransformConfig sanitizes to the paper's (32, 10000) windowing, and 700k
+// requests cover two full access-shot wraps. With refresh enabled the refit
+// window records every request's (page, timestamp); it is sized to hold the
+// whole run, and the drift detector never arms, so no refit runs.
 func TestTimestampForMatchesTransformer(t *testing.T) {
-	// The sanitized zero config is the paper's (32, 10000) windowing; 700k
-	// steps cover two full access-shot wraps.
-	cfg := trace.TransformConfig{}.Sanitized()
-	tt := trace.NewTimestampTransformer(cfg)
-	for seq := uint64(0); seq < 700_000; seq++ {
-		want := tt.Next()
-		if got := timestampFor(seq, cfg.LenWindow, cfg.LenAccessShot); got != want {
-			t.Fatalf("seq %d: timestampFor = %d, transformer = %d", seq, got, want)
+	const n, batch = 700_000, 512
+	m := scoringTestModel(t)
+	cfg := DefaultConfig()
+	cfg.Partitions = 1
+	cfg.Shards = 1
+	cfg.Transform = trace.TransformConfig{}
+	cfg.Refresh.Mode = RefreshSync
+	cfg.Refresh.WindowSamples = n
+	cfg.Refresh.MinSamples = n
+	cfg.Refresh.Drift.Warmup = n
+	b := &Bundle{Model: m, Scorer: m, Norm: trace.Normalizer{PageScale: 1.0 / 32, TimeScale: 1e-4}, Threshold: 1e-3}
+	svc, err := New(cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]Request, batch)
+	for seq := 0; seq < n; seq += batch {
+		k := min(batch, n-seq)
+		for i := range reqs[:k] {
+			reqs[i] = Request{Page: uint64(seq+i) % 64, ArrivalNs: int64(seq+i) * 1000}
+		}
+		if err := svc.processBatch(reqs[:k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if svc.Refreshes() != 0 || svc.refresher.failed != 0 {
+		t.Fatalf("refit ran: %d installed, %d failed", svc.Refreshes(), svc.refresher.failed)
+	}
+	got := svc.window.snapshot()
+	if len(got) != n {
+		t.Fatalf("window holds %d samples, want %d", len(got), n)
+	}
+	timestamp, index := 0, 0
+	for seq, s := range got {
+		if index >= 32 {
+			timestamp++
+			index = 0
+		}
+		if timestamp >= 10000 {
+			timestamp = 0
+		}
+		index++
+		if s.Page != float64(seq%64) || s.Timestamp != float64(timestamp) {
+			t.Fatalf("seq %d: service recorded (%v, %v), Algorithm 1 gives (%d, %d)", seq, s.Page, s.Timestamp, seq%64, timestamp)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 // scenarioSpec loads the committed scenario spec — timeline events, closed-loop
@@ -133,6 +134,82 @@ func TestServeScenarioGolden(t *testing.T) {
 		if !reflect.DeepEqual(snap, snapFull) {
 			t.Errorf("shards=%d: resumed final snapshot differs from the uninterrupted run", shards)
 		}
+	}
+}
+
+// TestScenarioResumeIgnoresClockKeys resumes a scenario checkpoint in the
+// layout older builds wrote: each partition's shadow LSTM policy state also
+// carried its Algorithm 1 clock, the transformer cursor (clock_timestamp,
+// clock_index) and the last timestamp (cur_time). The shadow cache's
+// checkpointed arrival index fixes that clock now, so the resumed run ignores
+// the keys and its stream still completes the golden byte for byte.
+func TestScenarioResumeIgnoresClockKeys(t *testing.T) {
+	t.Parallel()
+	golden, err := os.ReadFile(filepath.Join("testdata", "scenario_golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := scenarioSpec(t, 2)
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg := cfg.Transform.Sanitized()
+	var pre bytes.Buffer
+	sess, err := serve.Open(spec, &pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Step(40); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := sess.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	// Decode with json.Number so every other value re-encodes exactly.
+	dec := json.NewDecoder(&ckpt)
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	parts := doc["state"].(map[string]any)["partitions"].([]any)
+	for i, p := range parts {
+		shadow := p.(map[string]any)["shadow"].(map[string]any)
+		pol := shadow["policy"].(map[string]any)
+		for _, key := range []string{"clock_timestamp", "clock_index", "cur_time"} {
+			if _, ok := pol[key]; ok {
+				t.Fatalf("partition %d: the checkpoint still writes %s", i, key)
+			}
+		}
+		seq, err := shadow["cache"].(map[string]any)["seq"].(json.Number).Int64()
+		if err != nil || seq == 0 {
+			t.Fatalf("partition %d: shadow cache seq %v, %v", i, seq, err)
+		}
+		// The values the streaming transformer held after seq requests.
+		last := uint64(seq - 1)
+		ts := trace.Timestamp(last, tcfg.LenWindow, tcfg.LenAccessShot)
+		pol["clock_timestamp"] = ts
+		pol["clock_index"] = last%uint64(tcfg.LenWindow) + 1
+		pol["cur_time"] = ts
+	}
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var post bytes.Buffer
+	resumed, err := serve.Resume(bytes.NewReader(old), &post)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resumed.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := append(pre.Bytes(), post.Bytes()...); !bytes.Equal(got, golden) {
+		t.Errorf("resumed from a checkpoint with the old clock keys: JSONL diverges from the golden file (%d vs %d bytes)", len(got), len(golden))
 	}
 }
 

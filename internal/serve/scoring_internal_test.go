@@ -212,18 +212,13 @@ func TestDrainBatchSteadyStateAllocs(t *testing.T) {
 // through it. Partitions score on concurrent shard goroutines, so the count
 // is atomic.
 type countingScorer struct {
-	policy.ScratchBatchScorer
+	policy.Scorer
 	points atomic.Uint64
-}
-
-func (c *countingScorer) ScorePageTime(page, ts float64) float64 {
-	c.points.Add(1)
-	return c.ScratchBatchScorer.ScorePageTime(page, ts)
 }
 
 func (c *countingScorer) ScorePageTimeBatchScratch(pages, times, dst []float64, s *gmm.Scratch) {
 	c.points.Add(uint64(len(pages)))
-	c.ScratchBatchScorer.ScorePageTimeBatchScratch(pages, times, dst, s)
+	c.Scorer.ScorePageTimeBatchScratch(pages, times, dst, s)
 }
 
 // TestScoresOnlyMisses pins the hardware dataflow of Sec. 3.2 with a count:
@@ -280,7 +275,7 @@ func TestScoresOnlyMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			counter := &countingScorer{ScratchBatchScorer: b.Scorer.(policy.ScratchBatchScorer)}
+			counter := &countingScorer{Scorer: b.Scorer}
 			b.Scorer = counter
 			svc, err := New(cfg, b)
 			if err != nil {

@@ -17,11 +17,12 @@
 // cache, its own policy engine, latency models and histograms, keyed by page
 // address) driven by a pool of *shards* — worker goroutines that drain
 // partitions concurrently within each batch. Admission scores derive from
-// the request's global arrival index alone (timestampFor is a pure function,
-// so per-partition policies never run shard-local Algorithm 1 clocks), and
-// aggregate metrics merge per-partition state in partition order. Shard
-// count therefore affects wall clock only; partition count is part of the
-// configuration and does change results, exactly like cache geometry.
+// the request's global arrival index alone (trace.Timestamp is a pure
+// function of it, so per-partition policies never run shard-local
+// Algorithm 1 clocks), and aggregate metrics merge per-partition state in
+// partition order. Shard count therefore affects wall clock only; partition
+// count is part of the configuration and does change results, exactly like
+// cache geometry.
 package serve
 
 import (
@@ -250,34 +251,39 @@ type Bundle struct {
 	Scorer    policy.Scorer
 	Norm      trace.Normalizer
 	Threshold float64
-	// Model is the float64 model behind Scorer. It is what checkpoints
-	// persist (the quantized form is re-derived deterministically at
-	// resume); nil only for hand-assembled bundles, where a *gmm.Model
-	// Scorer stands in.
+	// Model is the float64 model behind Scorer, required by New. It is what
+	// checkpoints persist; the quantized form is re-derived from it
+	// deterministically at resume.
 	Model *gmm.Model
 	// Quant reports the quantization fidelity when Scorer is the q16 form.
 	Quant gmm.QuantReport
 }
 
+// deriveScorer sets the bundle's Scorer from its Model under the scoring
+// kind: the model itself, or its Q16.16 form and quantization report. It
+// reports false, leaving the bundle unfit to serve, when a constant saturates
+// Q16.16: the fixed-point densities would be unfaithful with no other
+// signal. Training, refits and resumes all derive their scorer here.
+func (b *Bundle) deriveScorer(kind ScoringKind) bool {
+	b.Scorer = b.Model
+	if kind != ScoringQ16 {
+		return true
+	}
+	qm, rep := gmm.Quantize(b.Model)
+	b.Scorer, b.Quant = qm, rep
+	return rep.Saturated == 0
+}
+
 // buildBundle packages a fitted float model for serving under the configured
-// scoring kind: pick (and, for q16, derive) the scorer, then calibrate the
-// admission threshold against the scorer that will actually serve — GMM
-// densities are only comparable within one datapath, so a threshold
-// calibrated in float would sit on the wrong scale for quantized scores.
-// A model whose constants saturate Q16.16 is refused: its fixed-point
-// densities are unfaithful with no other signal.
+// scoring kind: derive the scorer, refusing a saturated q16 model, then
+// calibrate the admission threshold against the scorer that will actually
+// serve — GMM densities are only comparable within one datapath, so a
+// threshold calibrated in float would sit on the wrong scale for quantized
+// scores.
 func buildBundle(model *gmm.Model, norm trace.Normalizer, normed []trace.Sample, cfg Config) (*Bundle, error) {
 	b := &Bundle{Model: model, Norm: norm}
-	switch cfg.Scoring {
-	case ScoringQ16:
-		qm, rep := gmm.Quantize(model)
-		if rep.Saturated > 0 {
-			return nil, fmt.Errorf("serve: q16 scoring: %d model constants saturate Q16.16 (max representable error %.3g); refusing unfaithful fixed-point model", rep.Saturated, rep.MaxAbsErr)
-		}
-		b.Scorer = qm
-		b.Quant = rep
-	default:
-		b.Scorer = model
+	if !b.deriveScorer(cfg.Scoring) {
+		return nil, fmt.Errorf("serve: q16 scoring: %d model constants saturate Q16.16 (max representable error %.3g); refusing unfaithful fixed-point model", b.Quant.Saturated, b.Quant.MaxAbsErr)
 	}
 	b.Threshold = policy.CalibrateThreshold(b.Scorer, normed, cfg.ThresholdPct)
 	return b, nil
@@ -303,15 +309,6 @@ func TrainBundle(tr trace.Trace, cfg Config) (*Bundle, error) {
 		return nil, fmt.Errorf("serve: training bundle: %w", err)
 	}
 	return b, nil
-}
-
-// timestampFor is the Algorithm 1 timestamp of the request with global
-// arrival index seq — the closed form of trace.TimestampTransformer, which
-// emits floor(i/LenWindow) mod LenAccessShot for the i-th call. Being a pure
-// function of seq (never of which shard serves the request), it is what
-// keeps admission scoring identical at any shard count.
-func timestampFor(seq uint64, lenWindow, lenAccessShot int) int {
-	return int((seq / uint64(lenWindow)) % uint64(lenAccessShot))
 }
 
 // partitionOf routes a page to its partition through a fixed bit-mixing hash
@@ -443,6 +440,9 @@ type Service struct {
 func New(cfg Config, b *Bundle) (*Service, error) {
 	if b == nil || b.Scorer == nil {
 		return nil, errors.New("serve: nil scoring bundle")
+	}
+	if b.Model == nil {
+		return nil, errors.New("serve: scoring bundle has no float model to checkpoint")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -620,7 +620,7 @@ func (s *Service) transferShare(donor, recv, q int) {
 // partition is fixed (set, then way), so results are deterministic at any
 // shard count.
 func (s *Service) rescoreResident(b *Bundle) {
-	ts := timestampFor(s.seq, s.tcfg.LenWindow, s.tcfg.LenAccessShot)
+	ts := trace.Timestamp(s.seq, s.tcfg.LenWindow, s.tcfg.LenAccessShot)
 	_ = engine.ForEach(s.runner, s.parts, func(_ int, p *partition) error {
 		// The buffers belong to rescoreResident alone; reusing them, a
 		// refresh allocates only when the resident set has outgrown them.
@@ -639,7 +639,7 @@ func (s *Service) rescoreResident(b *Bundle) {
 			p.scores = make([]float64, len(locs))
 		}
 		scores := p.scores[:len(locs)]
-		scoreBatch(b.Scorer, pages, times, scores, &p.scratch)
+		b.Scorer.ScorePageTimeBatchScratch(pages, times, scores, &p.scratch)
 		for i, l := range locs {
 			p.pol.setScore(l.set, l.way, scores[i])
 		}
@@ -690,7 +690,7 @@ func (s *Service) processBatch(batch []Request) error {
 			return fmt.Errorf("serve: request tenant %d outside configured tenants [0,%d)", t, len(s.tenants))
 		}
 		batch[i].Seq = s.seq
-		ts := timestampFor(s.seq, s.tcfg.LenWindow, s.tcfg.LenAccessShot)
+		ts := trace.Timestamp(s.seq, s.tcfg.LenWindow, s.tcfg.LenAccessShot)
 		if windowOn {
 			s.window.push(float64(batch[i].Page), float64(ts))
 		}
@@ -762,21 +762,8 @@ func (p *partition) drainBatch(b *Bundle) {
 // the bits of any other batching of the same points.
 func (p *partition) scoreMiss(page uint64) float64 {
 	p.missPage[0], p.missTime[0] = p.bundle.Norm.ApplyPageTime(page, p.curTS)
-	scoreBatch(p.bundle.Scorer, p.missPage[:], p.missTime[:], p.missScore[:], &p.scratch)
+	p.bundle.Scorer.ScorePageTimeBatchScratch(p.missPage[:], p.missTime[:], p.missScore[:], &p.scratch)
 	return p.missScore[0]
-}
-
-// scoreBatch dispatches one batched scoring call: scratch-threaded (zero
-// steady-state allocations — both gmm.Model and gmm.QuantizedModel land
-// here), or a scalar fallback for minimal test scorers.
-func scoreBatch(sc policy.Scorer, pages, times, scores []float64, s *gmm.Scratch) {
-	if bs, ok := sc.(policy.ScratchBatchScorer); ok {
-		bs.ScorePageTimeBatchScratch(pages, times, scores, s)
-		return
-	}
-	for i := range scores {
-		scores[i] = sc.ScorePageTime(pages[i], times[i])
-	}
 }
 
 // serveOne routes one request through the partition's device model. Pages

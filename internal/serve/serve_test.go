@@ -246,4 +246,8 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := serve.New(testConfig(1), nil); err == nil {
 		t.Error("nil bundle accepted")
 	}
+	// Every bundle carries the float model its checkpoints persist.
+	if _, err := serve.New(testConfig(1), &serve.Bundle{Scorer: b.Scorer, Norm: b.Norm, Threshold: b.Threshold}); err == nil {
+		t.Error("bundle without its float model accepted")
+	}
 }

@@ -511,9 +511,9 @@ func (s Spec) config() (Config, error) {
 		cfg.ReportEvery = 0
 	}
 	if s.Mode != "" {
-		mode, err := parseGMMMode(s.Mode)
+		mode, err := policy.ParseGMMMode(s.Mode)
 		if err != nil {
-			return Config{}, err
+			return Config{}, fmt.Errorf("serve: %w", err)
 		}
 		cfg.Mode = mode
 	}
@@ -676,16 +676,6 @@ func (s Spec) config() (Config, error) {
 	}
 	cfg.Tenants = s.Tenants
 	return cfg, nil
-}
-
-// parseGMMMode maps a spec mode string to the policy constant.
-func parseGMMMode(s string) (policy.GMMMode, error) {
-	for _, m := range []policy.GMMMode{policy.GMMCachingOnly, policy.GMMEvictionOnly, policy.GMMCachingEviction} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown GMM mode %q (valid: gmm-caching-only|gmm-eviction-only|gmm-caching-eviction)", s)
 }
 
 // parseSSDProfile maps a spec ssd string to its latency profile.

@@ -1,7 +1,5 @@
 package trace
 
-import "fmt"
-
 // Sample is one GMM training/inference input: the page index and the
 // transformed timestamp produced by Algorithm 1. Both are carried as float64
 // because the GMM operates in R^2.
@@ -38,16 +36,11 @@ func DefaultTransformConfig() TransformConfig {
 	}
 }
 
-// Sanitized returns the config with invalid fields replaced by defaults, the
-// exact normalization every transformer in this package applies internally.
-// Exported so consumers that derive timestamps themselves (the serving
-// subsystem's closed-form clock) see the same effective parameters as the
-// streaming TimestampTransformer.
-func (c TransformConfig) Sanitized() TransformConfig { return c.sanitized() }
-
-// sanitized returns the config with invalid fields replaced by defaults so a
-// zero value is still usable.
-func (c TransformConfig) sanitized() TransformConfig {
+// Sanitized returns the config with invalid fields replaced by defaults so a
+// zero value is still usable. Trim and Preprocess apply it internally; every
+// other consumer of Timestamp applies it once up front, so all of them see
+// the same effective windowing.
+func (c TransformConfig) Sanitized() TransformConfig {
 	d := DefaultTransformConfig()
 	if c.LenWindow <= 0 {
 		c.LenWindow = d.LenWindow
@@ -71,7 +64,7 @@ func (c TransformConfig) sanitized() TransformConfig {
 // Sec. 3.1 (first 20%, last 10% with the default config) and returns the
 // retained middle slice (aliasing the input's backing array).
 func Trim(t Trace, cfg TransformConfig) Trace {
-	cfg = cfg.sanitized()
+	cfg = cfg.Sanitized()
 	n := len(t)
 	lo := int(float64(n) * cfg.WarmupFrac)
 	hi := n - int(float64(n)*cfg.TailFrac)
@@ -81,80 +74,29 @@ func Trim(t Trace, cfg TransformConfig) Trace {
 	return t[lo:hi]
 }
 
-// TimestampTransformer implements Algorithm 1 of the paper as a streaming
-// transformer: every LenWindow requests the timestamp increments, and when it
-// reaches LenAccessShot it wraps to zero, restarting the access shot.
-type TimestampTransformer struct {
-	cfg       TransformConfig
-	timestamp int
-	index     int
+// Timestamp is the Algorithm 1 timestamp of the request with 0-based
+// arrival index i: the timestamp advances once every lenWindow requests and
+// wraps to zero when it reaches lenAccessShot, so request i gets
+// floor(i/lenWindow) mod lenAccessShot. Being a pure function of the arrival
+// index, the clock has no cursor to carry or checkpoint: every consumer that
+// numbers its requests derives the same timestamps from the numbers alone.
+// Both lengths must be positive (TransformConfig.Sanitized guarantees it).
+func Timestamp(i uint64, lenWindow, lenAccessShot int) int {
+	return int((i / uint64(lenWindow)) % uint64(lenAccessShot))
 }
-
-// NewTimestampTransformer creates a transformer with the given config.
-func NewTimestampTransformer(cfg TransformConfig) *TimestampTransformer {
-	return &TimestampTransformer{cfg: cfg.sanitized()}
-}
-
-// Next consumes one request arrival and returns the transformed timestamp to
-// assign to it. The sequencing follows Algorithm 1 line by line: the window
-// rollover check precedes the shot wrap check, and the index increments after
-// the timestamp is read.
-func (tt *TimestampTransformer) Next() int {
-	if tt.index >= tt.cfg.LenWindow {
-		tt.timestamp++
-		tt.index = 0
-	}
-	if tt.timestamp >= tt.cfg.LenAccessShot {
-		tt.timestamp = 0
-	}
-	tt.index++
-	return tt.timestamp
-}
-
-// Reset returns the transformer to its initial state.
-func (tt *TimestampTransformer) Reset() {
-	tt.timestamp = 0
-	tt.index = 0
-}
-
-// State exports the Algorithm 1 cursor: the current timestamp and the index
-// within the current window. Together with the config these fully determine
-// every future output, which is what lets a checkpointed consumer resume its
-// clock bit-identically.
-func (tt *TimestampTransformer) State() (timestamp, index int) {
-	return tt.timestamp, tt.index
-}
-
-// RestoreState rewinds the cursor to an exported state. The receiver must
-// have been built with the same config as the exporter.
-func (tt *TimestampTransformer) RestoreState(timestamp, index int) error {
-	if timestamp < 0 || timestamp >= tt.cfg.LenAccessShot {
-		return fmt.Errorf("trace: timestamp %d outside access shot [0, %d)", timestamp, tt.cfg.LenAccessShot)
-	}
-	if index < 0 || index > tt.cfg.LenWindow {
-		return fmt.Errorf("trace: window index %d outside [0, %d]", index, tt.cfg.LenWindow)
-	}
-	tt.timestamp = timestamp
-	tt.index = index
-	return nil
-}
-
-// MaxTimestamp returns the largest timestamp the transformer can emit.
-func (tt *TimestampTransformer) MaxTimestamp() int { return tt.cfg.LenAccessShot - 1 }
 
 // Preprocess runs the full Sec. 3.1 pipeline on a raw trace: trim warm-up and
 // tail, derive page indices, and apply the Algorithm 1 timestamp transform.
 // The returned samples are the GMM inputs; their order matches the retained
 // trace order.
 func Preprocess(t Trace, cfg TransformConfig) []Sample {
-	cfg = cfg.sanitized()
+	cfg = cfg.Sanitized()
 	kept := Trim(t, cfg)
-	tt := NewTimestampTransformer(cfg)
 	out := make([]Sample, len(kept))
 	for i, r := range kept {
 		out[i] = Sample{
 			Page:      float64(r.Page()),
-			Timestamp: float64(tt.Next()),
+			Timestamp: float64(Timestamp(uint64(i), cfg.LenWindow, cfg.LenAccessShot)),
 		}
 	}
 	return out

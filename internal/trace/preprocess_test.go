@@ -58,57 +58,59 @@ func TestTrimEdgeCases(t *testing.T) {
 	}
 }
 
-// TestAlgorithm1Verbatim checks the transformer against a direct transliteration
-// of the paper's Algorithm 1 pseudocode.
+// TestAlgorithm1Verbatim checks Timestamp against a direct transliteration of
+// the paper's Algorithm 1 pseudocode — a stateful cursor advanced once per
+// request — at every arrival index of 700,000 requests, which wraps even the
+// paper's (32, 10000) windowing twice. Every case must also emit
+// LenAccessShot-1 as its largest timestamp.
 func TestAlgorithm1Verbatim(t *testing.T) {
-	cfg := TransformConfig{LenWindow: 4, LenAccessShot: 3}
-	tt := NewTimestampTransformer(cfg)
+	const n = 700_000
+	for _, c := range []struct{ window, shot int }{{4, 3}, {2, 3}, {1, 5}, {32, 10000}} {
+		timestamp, index := 0, 0
+		maxSeen, wraps := 0, 0
+		for i := 0; i < n; i++ {
+			// Algorithm 1, line by line: the window rollover check precedes
+			// the shot wrap check, and the index increments after both.
+			if index >= c.window {
+				timestamp++
+				index = 0
+			}
+			if timestamp >= c.shot {
+				timestamp = 0
+				wraps++
+			}
+			index++
 
-	// Reference implementation, literally Algorithm 1.
-	timestamp, index := 0, 0
-	ref := func() int {
-		if index >= cfg.LenWindow {
-			timestamp++
-			index = 0
+			got := Timestamp(uint64(i), c.window, c.shot)
+			if got != timestamp {
+				t.Fatalf("(%d, %d) request %d: Timestamp = %d, Algorithm 1 = %d", c.window, c.shot, i, got, timestamp)
+			}
+			maxSeen = max(maxSeen, got)
 		}
-		if timestamp >= cfg.LenAccessShot {
-			timestamp = 0
+		if maxSeen != c.shot-1 {
+			t.Errorf("(%d, %d): largest timestamp %d, want %d", c.window, c.shot, maxSeen, c.shot-1)
 		}
-		index++
-		return timestamp
-	}
-
-	for i := 0; i < 200; i++ {
-		want := ref()
-		if got := tt.Next(); got != want {
-			t.Fatalf("request %d: Next() = %d, want %d", i, got, want)
+		if wraps < 2 {
+			t.Errorf("(%d, %d): %d requests wrapped the access shot %d times, want >= 2", c.window, c.shot, n, wraps)
 		}
 	}
 }
 
+// TestTimestampTransformerWindowing pins the paper's (32, 10000) windowing
+// by hand: the first 32 requests share timestamp 0, the next 32 share 1.
 func TestTimestampTransformerWindowing(t *testing.T) {
-	cfg := TransformConfig{LenWindow: 32, LenAccessShot: 10000}
-	tt := NewTimestampTransformer(cfg)
-	// First 32 requests share timestamp 0.
-	for i := 0; i < 32; i++ {
-		if got := tt.Next(); got != 0 {
-			t.Fatalf("request %d: timestamp = %d, want 0", i, got)
-		}
-	}
-	// Next 32 share timestamp 1.
-	for i := 0; i < 32; i++ {
-		if got := tt.Next(); got != 1 {
-			t.Fatalf("request %d: timestamp = %d, want 1", 32+i, got)
+	for i := uint64(0); i < 64; i++ {
+		want := int(i / 32)
+		if got := Timestamp(i, 32, 10000); got != want {
+			t.Fatalf("request %d: timestamp = %d, want %d", i, got, want)
 		}
 	}
 }
 
 func TestTimestampTransformerShotWrap(t *testing.T) {
-	cfg := TransformConfig{LenWindow: 2, LenAccessShot: 3}
-	tt := NewTimestampTransformer(cfg)
 	var got []int
-	for i := 0; i < 14; i++ {
-		got = append(got, tt.Next())
+	for i := uint64(0); i < 14; i++ {
+		got = append(got, Timestamp(i, 2, 3))
 	}
 	// windows of 2: ts 0,0 1,1 2,2 then wrap to 0,0 1,1 2,2 0,0
 	want := []int{0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 0, 0}
@@ -119,42 +121,22 @@ func TestTimestampTransformerShotWrap(t *testing.T) {
 	}
 }
 
-func TestTimestampTransformerReset(t *testing.T) {
-	tt := NewTimestampTransformer(TransformConfig{LenWindow: 1, LenAccessShot: 100})
-	for i := 0; i < 10; i++ {
-		tt.Next()
-	}
-	tt.Reset()
-	if got := tt.Next(); got != 0 {
-		t.Errorf("after Reset, Next() = %d, want 0", got)
-	}
-}
-
 func TestTimestampTransformerMaxTimestamp(t *testing.T) {
-	tt := NewTimestampTransformer(TransformConfig{LenWindow: 1, LenAccessShot: 5})
 	maxSeen := 0
-	for i := 0; i < 1000; i++ {
-		if v := tt.Next(); v > maxSeen {
-			maxSeen = v
-		}
+	for i := uint64(0); i < 1000; i++ {
+		maxSeen = max(maxSeen, Timestamp(i, 1, 5))
 	}
-	if maxSeen != tt.MaxTimestamp() || maxSeen != 4 {
-		t.Errorf("max emitted = %d, MaxTimestamp = %d, want 4", maxSeen, tt.MaxTimestamp())
+	if maxSeen != 4 {
+		t.Errorf("max emitted = %d, want LenAccessShot-1 = 4", maxSeen)
 	}
 }
 
-// Property: the timestamp emitted is always within [0, LenAccessShot).
+// Property: the timestamp is always within [0, LenAccessShot).
 func TestTimestampBoundsProperty(t *testing.T) {
-	f := func(w, s uint8, n uint16) bool {
-		cfg := TransformConfig{LenWindow: int(w%60) + 1, LenAccessShot: int(s%50) + 1}
-		tt := NewTimestampTransformer(cfg)
-		for i := 0; i < int(n); i++ {
-			v := tt.Next()
-			if v < 0 || v >= cfg.LenAccessShot {
-				return false
-			}
-		}
-		return true
+	f := func(w, s uint8, i uint64) bool {
+		shot := int(s%50) + 1
+		v := Timestamp(i, int(w%60)+1, shot)
+		return v >= 0 && v < shot
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
