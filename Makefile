@@ -15,10 +15,11 @@ race:
 	$(GO) test -race ./...
 
 # Benchmark smoke: one iteration of every benchmark in the root harness, the
-# serving subsystem and the GMM scoring kernels (including the fitted-model
-# ones), enough to catch bit-rot without waiting for stable numbers.
+# serving subsystem, the GMM scoring kernels (including the fitted-model
+# ones) and the shadow LSTM's inference, enough to catch bit-rot without
+# waiting for stable numbers.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/serve ./internal/gmm
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/serve ./internal/gmm ./internal/lstm
 
 # Machine-readable benchmarks: run the root and serving benchmarks with
 # -benchmem, keep the raw text for benchstat (BENCH_<date>.txt) and render a
@@ -62,7 +63,7 @@ smoke:
 
 # Ratcheted coverage floors for the packages the test subsystem hardens.
 # Raise a floor when coverage grows; never lower one.
-COVER_FLOORS := ./internal/gmm:90 ./internal/serve:92 ./internal/stats:95 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:95 ./internal/linalg:98 ./internal/policy:88 ./internal/core:89 ./internal/trace:93 ./internal/hbm:96 ./internal/ssd:100
+COVER_FLOORS := ./internal/gmm:90 ./internal/serve:92 ./internal/stats:95 ./internal/workload:95 ./internal/cluster:75 ./internal/strictjson:95 ./internal/telemetry:85 ./internal/fpga:80 ./internal/cxl:80 ./internal/device:90 ./internal/scenario:95 ./internal/lstm:99 ./internal/linalg:98 ./internal/policy:88 ./internal/core:89 ./internal/trace:93 ./internal/hbm:96 ./internal/ssd:100
 cover:
 	@fail=0; \
 	for spec in $(COVER_FLOORS); do \

@@ -200,9 +200,11 @@ func BenchmarkTable2LSTMInference(b *testing.B) {
 	for i := range seq {
 		seq[i] = []float64{float64(i) / 32, 0.5}
 	}
+	s := n.NewScratch()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.Forward(seq); err != nil {
+		if _, err := n.Forward(seq, s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -66,20 +66,20 @@ func (c Config) MACsPerInference() int {
 }
 
 // layer holds one LSTM layer's parameters. Gates are ordered i, f, g, o.
-// Weights are stored row-major: w[gate*H+j] is the row producing hidden
-// unit j of that gate.
+// Weights are flat and row-major: row r = gate*hidden + j produces hidden
+// unit j of that gate, at wx[r*inDim:(r+1)*inDim] and
+// wh[r*hidden:(r+1)*hidden], with bias b[r].
 type layer struct {
 	inDim, hidden int
-	// wx: [4*hidden][inDim], wh: [4*hidden][hidden], b: [4*hidden]
-	wx, wh [][]float64
-	b      []float64
+	// wx: [4*hidden*inDim], wh: [4*hidden*hidden], b: [4*hidden]
+	wx, wh, b []float64
 }
 
 func newLayer(inDim, hidden int, rng *rand.Rand) *layer {
 	l := &layer{inDim: inDim, hidden: hidden}
 	scale := 1 / math.Sqrt(float64(inDim+hidden))
-	l.wx = randMat(4*hidden, inDim, scale, rng)
-	l.wh = randMat(4*hidden, hidden, scale, rng)
+	l.wx = randVec(4*hidden*inDim, scale, rng)
+	l.wh = randVec(4*hidden*hidden, scale, rng)
 	l.b = make([]float64, 4*hidden)
 	// Forget-gate bias starts at 1, the standard trick for gradient flow.
 	for j := 0; j < hidden; j++ {
@@ -88,15 +88,13 @@ func newLayer(inDim, hidden int, rng *rand.Rand) *layer {
 	return l
 }
 
-func randMat(rows, cols int, scale float64, rng *rand.Rand) [][]float64 {
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i] = make([]float64, cols)
-		for j := range m[i] {
-			m[i][j] = rng.NormFloat64() * scale
-		}
+// randVec draws n weights from N(0, scale²) in index order.
+func randVec(n int, scale float64, rng *rand.Rand) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64() * scale
 	}
-	return m
+	return v
 }
 
 // Network is the stacked LSTM with a linear regression head.
@@ -120,11 +118,7 @@ func New(cfg Config, seed int64) (*Network, error) {
 		n.layers = append(n.layers, newLayer(in, cfg.HiddenDim, rng))
 		in = cfg.HiddenDim
 	}
-	n.wy = make([]float64, cfg.HiddenDim)
-	scale := 1 / math.Sqrt(float64(cfg.HiddenDim))
-	for i := range n.wy {
-		n.wy[i] = rng.NormFloat64() * scale
-	}
+	n.wy = randVec(cfg.HiddenDim, 1/math.Sqrt(float64(cfg.HiddenDim)), rng)
 	return n, nil
 }
 
@@ -133,82 +127,102 @@ func (n *Network) Config() Config { return n.cfg }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// cellState carries (h, c) for one layer.
-type cellState struct {
-	h, c []float64
-}
-
-func newCellState(hidden int) cellState {
-	return cellState{h: make([]float64, hidden), c: make([]float64, hidden)}
-}
-
-// stepCache stores the intermediate activations BPTT needs.
+// stepCache records one layer's activations at one timestep for BPTT. x and
+// hPrev alias the cell's inputs; the other slices are owned, hidden-length
+// buffers.
 type stepCache struct {
-	x          []float64 // layer input
+	x, hPrev   []float64
+	h          []float64 // the cell's output: the next step's hPrev, the next layer's x
 	i, f, g, o []float64 // gate activations
-	cPrev, c   []float64
-	hPrev, h   []float64
+	cPrev      []float64
 	tanhC      []float64
 }
 
-// step runs one layer for one timestep, optionally recording a cache.
-func (l *layer) step(x []float64, st cellState, keep bool) (cellState, *stepCache) {
-	h := l.hidden
-	pre := make([]float64, 4*h)
-	for r := 0; r < 4*h; r++ {
-		s := l.b[r]
-		wxr := l.wx[r]
-		for j, xv := range x {
-			s += wxr[j] * xv
-		}
-		whr := l.wh[r]
-		for j, hv := range st.h {
-			s += whr[j] * hv
-		}
-		pre[r] = s
+// cell advances the layer one timestep. It reads the input x and the
+// previous hidden state hPrev, writes the new hidden state into h (a buffer
+// distinct from hPrev, since every unit reads all of hPrev) and updates the
+// cell state c in place. Hidden unit j accumulates its four gate rows j,
+// H+j, 2H+j and 3H+j as four independent chains, each in the order bias,
+// then wx·x, then wh·hPrev, with k ascending, so every sum keeps the bits of
+// a row-at-a-time evaluation. A non-nil rec records what BPTT needs.
+func (l *layer) cell(x, hPrev, h, c []float64, rec *stepCache) {
+	H, in := l.hidden, l.inDim
+	x, hPrev, h, c = x[:in], hPrev[:H], h[:H], c[:H]
+	if rec != nil {
+		rec.x, rec.hPrev = x, hPrev
 	}
-	next := newCellState(h)
-	var cache *stepCache
-	if keep {
-		cache = &stepCache{
-			x: append([]float64(nil), x...),
-			i: make([]float64, h), f: make([]float64, h),
-			g: make([]float64, h), o: make([]float64, h),
-			cPrev: append([]float64(nil), st.c...),
-			hPrev: append([]float64(nil), st.h...),
-			tanhC: make([]float64, h),
+	for j := 0; j < H; j++ {
+		ri, rf, rg, ro := j, H+j, 2*H+j, 3*H+j
+		si, sf, sg, so := l.b[ri], l.b[rf], l.b[rg], l.b[ro]
+		xi, xf, xg, xo := l.wx[ri*in:][:in], l.wx[rf*in:][:in], l.wx[rg*in:][:in], l.wx[ro*in:][:in]
+		for k, v := range x {
+			si += xi[k] * v
+			sf += xf[k] * v
+			sg += xg[k] * v
+			so += xo[k] * v
 		}
-	}
-	for j := 0; j < h; j++ {
-		ig := sigmoid(pre[j])
-		fg := sigmoid(pre[h+j])
-		gg := math.Tanh(pre[2*h+j])
-		og := sigmoid(pre[3*h+j])
-		c := fg*st.c[j] + ig*gg
-		tc := math.Tanh(c)
-		next.c[j] = c
-		next.h[j] = og * tc
-		if keep {
-			cache.i[j], cache.f[j], cache.g[j], cache.o[j] = ig, fg, gg, og
-			cache.tanhC[j] = tc
+		hi, hf, hg, ho := l.wh[ri*H:][:H], l.wh[rf*H:][:H], l.wh[rg*H:][:H], l.wh[ro*H:][:H]
+		for k, v := range hPrev {
+			si += hi[k] * v
+			sf += hf[k] * v
+			sg += hg[k] * v
+			so += ho[k] * v
+		}
+		ig, fg, gg, og := sigmoid(si), sigmoid(sf), math.Tanh(sg), sigmoid(so)
+		cPrev := c[j]
+		cj := fg*cPrev + ig*gg
+		tc := math.Tanh(cj)
+		c[j], h[j] = cj, og*tc
+		if rec != nil {
+			rec.i[j], rec.f[j], rec.g[j], rec.o[j] = ig, fg, gg, og
+			rec.cPrev[j], rec.tanhC[j] = cPrev, tc
 		}
 	}
-	if keep {
-		cache.c = append([]float64(nil), next.c...)
-		cache.h = append([]float64(nil), next.h...)
+}
+
+// head applies the linear regression head to the top layer's hidden state.
+func (n *Network) head(top []float64) float64 {
+	out := n.by
+	for j, w := range n.wy {
+		out += w * top[j]
 	}
-	return next, cache
+	return out
+}
+
+// Scratch is one caller's inference state: per layer, the hidden and cell
+// vectors and the buffer the cell writes the next hidden state into.
+// Forward resets it on every call, so a caller builds one and keeps it. A
+// Scratch serves one goroutine at a time; the Network it runs is only read,
+// so callers that each own a Scratch may share the Network.
+type Scratch struct {
+	cfg        Config
+	h, next, c [][]float64
+}
+
+// NewScratch returns an inference scratch shaped for n.
+func (n *Network) NewScratch() *Scratch {
+	s := &Scratch{cfg: n.cfg}
+	for range n.layers {
+		s.h = append(s.h, make([]float64, n.cfg.HiddenDim))
+		s.next = append(s.next, make([]float64, n.cfg.HiddenDim))
+		s.c = append(s.c, make([]float64, n.cfg.HiddenDim))
+	}
+	return s
 }
 
 // Forward runs a full sequence and returns the scalar prediction. seq must
-// have length cfg.SeqLen, each element length cfg.InputDim.
-func (n *Network) Forward(seq [][]float64) (float64, error) {
+// have length cfg.SeqLen, each element length cfg.InputDim, and s must come
+// from NewScratch on a network of the same shape. Forward allocates nothing.
+func (n *Network) Forward(seq [][]float64, s *Scratch) (float64, error) {
+	if s.cfg != n.cfg {
+		return 0, fmt.Errorf("lstm: scratch shaped %+v, network shaped %+v", s.cfg, n.cfg)
+	}
 	if len(seq) != n.cfg.SeqLen {
 		return 0, fmt.Errorf("lstm: sequence length %d, want %d", len(seq), n.cfg.SeqLen)
 	}
-	states := make([]cellState, len(n.layers))
-	for i := range states {
-		states[i] = newCellState(n.cfg.HiddenDim)
+	for li := range s.h {
+		clear(s.h[li])
+		clear(s.c[li])
 	}
 	for _, x := range seq {
 		if len(x) != n.cfg.InputDim {
@@ -216,14 +230,10 @@ func (n *Network) Forward(seq [][]float64) (float64, error) {
 		}
 		cur := x
 		for li, l := range n.layers {
-			states[li], _ = l.step(cur, states[li], false)
-			cur = states[li].h
+			l.cell(cur, s.h[li], s.next[li], s.c[li], nil)
+			s.h[li], s.next[li] = s.next[li], s.h[li]
+			cur = s.h[li]
 		}
 	}
-	out := n.by
-	top := states[len(states)-1].h
-	for j, w := range n.wy {
-		out += w * top[j]
-	}
-	return out, nil
+	return n.head(s.h[len(s.h)-1]), nil
 }

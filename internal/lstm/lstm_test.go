@@ -71,12 +71,31 @@ func TestForwardShapeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Forward(nil); err == nil {
+	s := n.NewScratch()
+	if _, err := n.Forward(nil, s); err == nil {
 		t.Error("wrong sequence length accepted")
 	}
 	seq := seqOf(tinyConfig(), func(int) []float64 { return []float64{1} })
-	if _, err := n.Forward(seq); err == nil {
+	if _, err := n.Forward(seq, s); err == nil {
 		t.Error("wrong input dim accepted")
+	}
+	// A scratch built for any other shape is refused, not indexed.
+	good := seqOf(tinyConfig(), func(int) []float64 { return []float64{1, 2} })
+	for _, cfg := range []Config{
+		{InputDim: 2, HiddenDim: 4, Layers: 2, SeqLen: 5},
+		{InputDim: 2, HiddenDim: 8, Layers: 3, SeqLen: 5},
+		{InputDim: 2, HiddenDim: 8, Layers: 2, SeqLen: 6},
+	} {
+		other, err := New(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Forward(good, other.NewScratch()); err == nil {
+			t.Errorf("scratch shaped %+v accepted by a %+v network", cfg, tinyConfig())
+		}
+	}
+	if _, err := n.Forward(good, s); err != nil {
+		t.Errorf("well-shaped call after refusals: %v", err)
 	}
 }
 
@@ -85,16 +104,16 @@ func TestForwardDeterministic(t *testing.T) {
 	n1, _ := New(cfg, 7)
 	n2, _ := New(cfg, 7)
 	seq := seqOf(cfg, func(i int) []float64 { return []float64{float64(i), 0.5} })
-	a, err := n1.Forward(seq)
+	a, err := n1.Forward(seq, n1.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := n2.Forward(seq)
+	b, _ := n2.Forward(seq, n2.NewScratch())
 	if a != b {
 		t.Errorf("same seed gave different outputs: %v vs %v", a, b)
 	}
 	n3, _ := New(cfg, 8)
-	c, _ := n3.Forward(seq)
+	c, _ := n3.Forward(seq, n3.NewScratch())
 	if a == c {
 		t.Error("different seeds gave identical outputs")
 	}
@@ -103,12 +122,13 @@ func TestForwardDeterministic(t *testing.T) {
 func TestForwardBoundedActivations(t *testing.T) {
 	cfg := tinyConfig()
 	n, _ := New(cfg, 3)
+	s := n.NewScratch()
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {
 		seq := seqOf(cfg, func(int) []float64 {
 			return []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10}
 		})
-		y, err := n.Forward(seq)
+		y, err := n.Forward(seq, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +146,13 @@ func TestGradientCheck(t *testing.T) {
 	seq := seqOf(cfg, func(i int) []float64 { return []float64{0.3 * float64(i), -0.2} })
 	target := 0.7
 
-	g := newGrads(n)
-	n.backward(seq, target, g)
+	ts := n.newTrainScratch()
+	n.backward(seq, target, ts)
+	g := ts.g
 
+	s := n.NewScratch()
 	loss := func() float64 {
-		p, _ := n.Forward(seq)
+		p, _ := n.Forward(seq, s)
 		return 0.5 * (p - target) * (p - target)
 	}
 	const h = 1e-6
@@ -146,14 +168,16 @@ func TestGradientCheck(t *testing.T) {
 			t.Errorf("%s: numeric %v vs analytic %v", name, numeric, analytic)
 		}
 	}
-	// Spot-check representative parameters from every group.
+	// Spot-check representative parameters from every group. Weights are
+	// flat row-major: row r, column k of layer 0's wx (inDim 2) is r*2+k;
+	// every wh, and layer 1's wx, has hidden (3) columns.
 	check(&n.wy[0], g.wy[0], "wy[0]")
 	check(&n.by, g.by, "by")
-	check(&n.layers[0].wx[0][0], g.wx[0][0][0], "l0.wx[0][0]")
-	check(&n.layers[0].wh[5][1], g.wh[0][5][1], "l0.wh[5][1]")
+	check(&n.layers[0].wx[0*2+0], g.wx[0][0*2+0], "l0.wx[0][0]")
+	check(&n.layers[0].wh[5*3+1], g.wh[0][5*3+1], "l0.wh[5][1]")
 	check(&n.layers[0].b[2], g.b[0][2], "l0.b[2]")
-	check(&n.layers[1].wx[1][2], g.wx[1][1][2], "l1.wx[1][2]")
-	check(&n.layers[1].wh[10][0], g.wh[1][10][0], "l1.wh[10][0]")
+	check(&n.layers[1].wx[1*3+2], g.wx[1][1*3+2], "l1.wx[1][2]")
+	check(&n.layers[1].wh[10*3+0], g.wh[1][10*3+0], "l1.wh[10][0]")
 	check(&n.layers[1].b[7], g.b[1][7], "l1.b[7]")
 }
 
@@ -194,6 +218,17 @@ func TestTrainValidation(t *testing.T) {
 	bad := []Sample{{Seq: [][]float64{{1, 2}}, Target: 0}} // wrong length
 	if _, err := n.Train(bad, DefaultTrainConfig()); err == nil {
 		t.Error("wrong-length sample accepted")
+	}
+	// The cell would truncate a wider row and panic on a narrower one;
+	// Train refuses both up front.
+	for _, dim := range []int{1, 3} {
+		wide := []Sample{{
+			Seq:    seqOf(tinyConfig(), func(int) []float64 { return make([]float64, dim) }),
+			Target: 0,
+		}}
+		if _, err := n.Train(wide, DefaultTrainConfig()); err == nil {
+			t.Errorf("sample rows of input dim %d accepted", dim)
+		}
 	}
 	good := []Sample{{
 		Seq:    seqOf(tinyConfig(), func(int) []float64 { return []float64{0, 0} }),

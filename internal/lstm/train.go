@@ -6,65 +6,105 @@ import (
 	"math"
 )
 
-// grads mirrors the parameter layout of the network.
+// grads mirrors the parameter layout of the network: per layer, flat wx,
+// wh and b slices laid out like the layer's own.
 type grads struct {
-	wx, wh [][][]float64 // per layer
-	b      [][]float64
-	wy     []float64
-	by     float64
+	wx, wh, b [][]float64 // per layer
+	wy        []float64
+	by        float64
 }
 
 func newGrads(n *Network) *grads {
 	g := &grads{wy: make([]float64, len(n.wy))}
 	for _, l := range n.layers {
-		g.wx = append(g.wx, zerosLike(l.wx))
-		g.wh = append(g.wh, zerosLike(l.wh))
+		g.wx = append(g.wx, make([]float64, len(l.wx)))
+		g.wh = append(g.wh, make([]float64, len(l.wh)))
 		g.b = append(g.b, make([]float64, len(l.b)))
 	}
 	return g
 }
 
-func zerosLike(m [][]float64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i := range m {
-		out[i] = make([]float64, len(m[i]))
+// zero resets every gradient to +0.
+func (g *grads) zero() {
+	for li := range g.wx {
+		clear(g.wx[li])
+		clear(g.wh[li])
+		clear(g.b[li])
 	}
-	return out
+	clear(g.wy)
+	g.by = 0
 }
 
-// forwardTraining runs the sequence keeping every activation, returning the
-// prediction and the per-layer, per-step caches.
-func (n *Network) forwardTraining(seq [][]float64) (float64, [][]*stepCache) {
-	states := make([]cellState, len(n.layers))
-	for i := range states {
-		states[i] = newCellState(n.cfg.HiddenDim)
+// trainScratch is everything one Train call builds once and reuses for
+// every sample: the per-layer, per-step activation caches, the cell states
+// they advance, one gradient set, and backward's buffers.
+type trainScratch struct {
+	caches [][]stepCache // [layer][timestep]
+	c      [][]float64   // per layer cell state, updated in place
+	h0     []float64     // the hidden state before t = 0; never written
+	g      *grads
+
+	dpre   []float64 // [4*hidden]
+	dx     []float64 // [max(InputDim, hidden)], sliced per layer
+	dhPrev []float64 // [hidden]
+	dh, dc [][]float64
+}
+
+func (n *Network) newTrainScratch() *trainScratch {
+	H, L := n.cfg.HiddenDim, len(n.layers)
+	ts := &trainScratch{
+		caches: make([][]stepCache, L),
+		h0:     make([]float64, H),
+		g:      newGrads(n),
+		dpre:   make([]float64, 4*H),
+		dx:     make([]float64, max(n.cfg.InputDim, H)),
+		dhPrev: make([]float64, H),
 	}
-	caches := make([][]*stepCache, len(n.layers))
-	for li := range caches {
-		caches[li] = make([]*stepCache, len(seq))
+	for li := range ts.caches {
+		ts.caches[li] = make([]stepCache, n.cfg.SeqLen)
+		for t := range ts.caches[li] {
+			ts.caches[li][t] = stepCache{
+				h: make([]float64, H),
+				i: make([]float64, H), f: make([]float64, H),
+				g: make([]float64, H), o: make([]float64, H),
+				cPrev: make([]float64, H),
+				tanhC: make([]float64, H),
+			}
+		}
+		ts.c = append(ts.c, make([]float64, H))
+		ts.dh = append(ts.dh, make([]float64, H))
+		ts.dc = append(ts.dc, make([]float64, H))
+	}
+	return ts
+}
+
+// forwardTraining runs the sequence through the same cell kernel as Forward,
+// recording every activation in ts.caches, and returns the prediction.
+func (n *Network) forwardTraining(seq [][]float64, ts *trainScratch) float64 {
+	for li := range ts.c {
+		clear(ts.c[li])
 	}
 	for t, x := range seq {
 		cur := x
 		for li, l := range n.layers {
-			var c *stepCache
-			states[li], c = l.step(cur, states[li], true)
-			caches[li][t] = c
-			cur = states[li].h
+			rec := &ts.caches[li][t]
+			hPrev := ts.h0
+			if t > 0 {
+				hPrev = ts.caches[li][t-1].h
+			}
+			l.cell(cur, hPrev, rec.h, ts.c[li], rec)
+			cur = rec.h
 		}
 	}
-	out := n.by
-	top := states[len(states)-1].h
-	for j, w := range n.wy {
-		out += w * top[j]
-	}
-	return out, caches
+	return n.head(ts.caches[len(n.layers)-1][len(seq)-1].h)
 }
 
-// backward accumulates gradients of 0.5*(pred-target)^2 into g and returns
-// the squared error.
-func (n *Network) backward(seq [][]float64, target float64, g *grads) float64 {
-	pred, caches := n.forwardTraining(seq)
+// backward accumulates gradients of 0.5*(pred-target)^2 into ts.g and
+// returns the squared error.
+func (n *Network) backward(seq [][]float64, target float64, ts *trainScratch) float64 {
+	pred := n.forwardTraining(seq, ts)
 	diff := pred - target
+	g := ts.g
 
 	h := n.cfg.HiddenDim
 	T := len(seq)
@@ -72,30 +112,27 @@ func (n *Network) backward(seq [][]float64, target float64, g *grads) float64 {
 
 	// dh[li] is the gradient flowing into layer li's hidden state at the
 	// current timestep; dc likewise for the cell state.
-	dh := make([][]float64, L)
-	dc := make([][]float64, L)
+	dh, dc := ts.dh, ts.dc
 	for li := range dh {
-		dh[li] = make([]float64, h)
-		dc[li] = make([]float64, h)
+		clear(dh[li])
+		clear(dc[li])
 	}
 
 	// Head gradients feed the top layer at the last step.
-	top := caches[L-1][T-1].h
+	top := ts.caches[L-1][T-1].h
 	for j := 0; j < h; j++ {
 		g.wy[j] += diff * top[j]
 		dh[L-1][j] += diff * n.wy[j]
 	}
 	g.by += diff
 
-	// dxNext[t] collects the gradient each layer passes to the layer below
-	// at timestep t (input gradient).
+	dpre, dhPrev := ts.dpre, ts.dhPrev
 	for t := T - 1; t >= 0; t-- {
 		for li := L - 1; li >= 0; li-- {
 			l := n.layers[li]
-			c := caches[li][t]
+			c := &ts.caches[li][t]
 			dhl, dcl := dh[li], dc[li]
 			// Through h = o * tanh(c).
-			dpre := make([]float64, 4*h)
 			for j := 0; j < h; j++ {
 				do := dhl[j] * c.tanhC[j]
 				dcj := dcl[j] + dhl[j]*c.o[j]*(1-c.tanhC[j]*c.tanhC[j])
@@ -111,16 +148,19 @@ func (n *Network) backward(seq [][]float64, target float64, g *grads) float64 {
 				dcl[j] = dcPrev
 			}
 			// Parameter gradients and propagation to x and hPrev.
-			dx := make([]float64, l.inDim)
-			dhPrev := make([]float64, h)
+			in := l.inDim
+			dx := ts.dx[:in]
+			clear(dx)
+			clear(dhPrev)
+			gwx, gwh, gb := g.wx[li], g.wh[li], g.b[li]
 			for r := 0; r < 4*h; r++ {
 				dp := dpre[r]
 				if dp == 0 {
 					continue
 				}
-				wxr, whr := l.wx[r], l.wh[r]
-				gx, gh := g.wx[li][r], g.wh[li][r]
-				for j := 0; j < l.inDim; j++ {
+				wxr, whr := l.wx[r*in:][:in], l.wh[r*h:][:h]
+				gx, gh := gwx[r*in:][:in], gwh[r*h:][:h]
+				for j := 0; j < in; j++ {
 					gx[j] += dp * c.x[j]
 					dx[j] += dp * wxr[j]
 				}
@@ -128,7 +168,7 @@ func (n *Network) backward(seq [][]float64, target float64, g *grads) float64 {
 					gh[j] += dp * c.hPrev[j]
 					dhPrev[j] += dp * whr[j]
 				}
-				g.b[li][r] += dp
+				gb[r] += dp
 			}
 			// Hidden gradient for the previous timestep of this layer.
 			copy(dh[li], dhPrev)
@@ -175,7 +215,9 @@ type TrainResult struct {
 
 // Train fits the network with Adam on the given samples. It is honest
 // work — a 3x128 network on thousands of length-32 sequences takes real
-// time, which is exactly the software-overhead point the paper makes.
+// time, which is exactly the software-overhead point the paper makes. Its
+// caches, gradients and buffers are built once per call, so its
+// allocations do not grow with the number of samples.
 func (n *Network) Train(samples []Sample, cfg TrainConfig) (*TrainResult, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("lstm: no training samples")
@@ -187,17 +229,23 @@ func (n *Network) Train(samples []Sample, cfg TrainConfig) (*TrainResult, error)
 		if len(s.Seq) != n.cfg.SeqLen {
 			return nil, fmt.Errorf("lstm: sample %d has length %d, want %d", i, len(s.Seq), n.cfg.SeqLen)
 		}
+		for t, x := range s.Seq {
+			if len(x) != n.cfg.InputDim {
+				return nil, fmt.Errorf("lstm: sample %d step %d has input dim %d, want %d", i, t, len(x), n.cfg.InputDim)
+			}
+		}
 	}
 	ad := &adamState{m: newGrads(n), v: newGrads(n)}
+	ts := n.newTrainScratch()
 	res := &TrainResult{}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		sse := 0.0
 		for _, s := range samples {
-			g := newGrads(n)
-			sse += n.backward(s.Seq, s.Target, g)
-			clip(g, cfg.ClipNorm)
+			ts.g.zero()
+			sse += n.backward(s.Seq, s.Target, ts)
+			clip(ts.g, cfg.ClipNorm)
 			ad.t++
-			n.applyAdam(g, ad, cfg.LearningRate)
+			n.applyAdam(ts.g, ad, cfg.LearningRate)
 		}
 		res.EpochMSE = append(res.EpochMSE, sse/float64(len(samples)))
 	}
@@ -218,21 +266,18 @@ func clip(g *grads, maxNorm float64) {
 	visit(g, func(v *float64) { *v *= scale })
 }
 
-// visit walks every gradient scalar.
+// visit walks every gradient scalar: each layer's wx, wh and b in index
+// order, then wy, then by. clip sums the norm in this order.
 func visit(g *grads, f func(*float64)) {
 	for li := range g.wx {
-		for r := range g.wx[li] {
-			for j := range g.wx[li][r] {
-				f(&g.wx[li][r][j])
-			}
+		for i := range g.wx[li] {
+			f(&g.wx[li][i])
 		}
-		for r := range g.wh[li] {
-			for j := range g.wh[li][r] {
-				f(&g.wh[li][r][j])
-			}
+		for i := range g.wh[li] {
+			f(&g.wh[li][i])
 		}
-		for r := range g.b[li] {
-			f(&g.b[li][r])
+		for i := range g.b[li] {
+			f(&g.b[li][i])
 		}
 	}
 	for j := range g.wy {
@@ -258,14 +303,14 @@ func (n *Network) applyAdam(g *grads, ad *adamState, lr float64) {
 		*p -= lr * mh / (math.Sqrt(vh) + eps)
 	}
 	for li, l := range n.layers {
-		for r := range l.wx {
-			for j := range l.wx[r] {
-				step(&l.wx[r][j], &g.wx[li][r][j], &ad.m.wx[li][r][j], &ad.v.wx[li][r][j])
-			}
-			for j := range l.wh[r] {
-				step(&l.wh[r][j], &g.wh[li][r][j], &ad.m.wh[li][r][j], &ad.v.wh[li][r][j])
-			}
-			step(&l.b[r], &g.b[li][r], &ad.m.b[li][r], &ad.v.b[li][r])
+		for i := range l.wx {
+			step(&l.wx[i], &g.wx[li][i], &ad.m.wx[li][i], &ad.v.wx[li][i])
+		}
+		for i := range l.wh {
+			step(&l.wh[i], &g.wh[li][i], &ad.m.wh[li][i], &ad.v.wh[li][i])
+		}
+		for i := range l.b {
+			step(&l.b[i], &g.b[li][i], &ad.m.b[li][i], &ad.v.b[li][i])
 		}
 	}
 	for j := range n.wy {

@@ -4,7 +4,8 @@ import "fmt"
 
 // LayerWeights is one LSTM layer's parameter block in export form. Gates are
 // ordered i, f, g, o, matching the internal layout: Wx is [4*hidden][inDim],
-// Wh is [4*hidden][hidden], B is [4*hidden].
+// Wh is [4*hidden][hidden], B is [4*hidden]. Row r is the internal flat
+// layout's row r, so Export and Restore only split and join rows.
 type LayerWeights struct {
 	Wx [][]float64 `json:"wx"`
 	Wh [][]float64 `json:"wh"`
@@ -31,8 +32,8 @@ func (n *Network) Export() Weights {
 	}
 	for li, l := range n.layers {
 		w.Layers[li] = LayerWeights{
-			Wx: copyMat(l.wx),
-			Wh: copyMat(l.wh),
+			Wx: rows(l.wx, l.inDim),
+			Wh: rows(l.wh, l.hidden),
 			B:  append([]float64(nil), l.b...),
 		}
 	}
@@ -63,21 +64,28 @@ func (n *Network) Restore(w Weights) error {
 			return fmt.Errorf("lstm: layer %d bias length %d, want %d", li, len(lw.B), 4*l.hidden)
 		}
 	}
+	// Every shape checked out, so copying in place cannot leave the network
+	// half restored.
 	for li, l := range n.layers {
 		lw := w.Layers[li]
-		l.wx = copyMat(lw.Wx)
-		l.wh = copyMat(lw.Wh)
-		l.b = append([]float64(nil), lw.B...)
+		for r, row := range lw.Wx {
+			copy(l.wx[r*l.inDim:], row)
+		}
+		for r, row := range lw.Wh {
+			copy(l.wh[r*l.hidden:], row)
+		}
+		copy(l.b, lw.B)
 	}
-	n.wy = append([]float64(nil), w.Wy...)
+	copy(n.wy, w.Wy)
 	n.by = w.By
 	return nil
 }
 
-func copyMat(m [][]float64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i := range m {
-		out[i] = append([]float64(nil), m[i]...)
+// rows splits a flat row-major matrix into copied rows of cols values.
+func rows(flat []float64, cols int) [][]float64 {
+	out := make([][]float64, len(flat)/cols)
+	for r := range out {
+		out[r] = append([]float64(nil), flat[r*cols:(r+1)*cols]...)
 	}
 	return out
 }

@@ -83,12 +83,13 @@ func TestWeightsRestoreScoreParity(t *testing.T) {
 	if err := dst.Restore(w); err != nil {
 		t.Fatal(err)
 	}
+	srcS, dstS := src.NewScratch(), dst.NewScratch()
 	for i, seq := range probeSeqs(42) {
-		want, err := src.Forward(seq)
+		want, err := src.Forward(seq, srcS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dst.Forward(seq)
+		got, err := dst.Forward(seq, dstS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,8 @@ func TestWeightsRestoreScoreParity(t *testing.T) {
 func TestWeightsExportIsDeepCopy(t *testing.T) {
 	n := trainedNet(t, 3)
 	seq := probeSeqs(3)[0]
-	before, err := n.Forward(seq)
+	s := n.NewScratch()
+	before, err := n.Forward(seq, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestWeightsExportIsDeepCopy(t *testing.T) {
 	w.Layers[0].Wh[0][0] += 100
 	w.Layers[0].B[0] += 100
 	w.Wy[0] += 100
-	after, err := n.Forward(seq)
+	after, err := n.Forward(seq, s)
 	if err != nil {
 		t.Fatal(err)
 	}

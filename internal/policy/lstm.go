@@ -30,6 +30,7 @@ type LSTMPolicy struct {
 	wpos    int
 	wcount  int
 	seqBuf  [][]float64
+	scratch *lstm.Scratch // this policy's own: policies may share net
 	scores  [][]float64
 	lastUse [][]uint64
 
@@ -56,9 +57,14 @@ type LSTMPolicyConfig struct {
 	Admission, Eviction bool
 }
 
-// NewLSTMPolicy builds the adapter.
+// NewLSTMPolicy builds the adapter. The network must take InputDim 2, the
+// window's (page, timestamp) row; any other shape panics, since it could
+// never score a window.
 func NewLSTMPolicy(cfg LSTMPolicyConfig) *LSTMPolicy {
-	seqLen := cfg.Net.Config().SeqLen
+	ncfg := cfg.Net.Config()
+	if ncfg.InputDim != 2 {
+		panic(fmt.Sprintf("policy: lstm network input dim %d, want 2 (the window's page, timestamp row)", ncfg.InputDim))
+	}
 	p := &LSTMPolicy{
 		net:       cfg.Net,
 		norm:      cfg.Normalizer,
@@ -66,8 +72,9 @@ func NewLSTMPolicy(cfg LSTMPolicyConfig) *LSTMPolicy {
 		threshold: cfg.Threshold,
 		admit:     cfg.Admission,
 		evict:     cfg.Eviction,
-		window:    make([][]float64, seqLen),
-		seqBuf:    make([][]float64, seqLen),
+		window:    make([][]float64, ncfg.SeqLen),
+		seqBuf:    make([][]float64, ncfg.SeqLen),
+		scratch:   cfg.Net.NewScratch(),
 	}
 	for i := range p.window {
 		p.window[i] = []float64{0, 0}
@@ -104,7 +111,9 @@ func (p *LSTMPolicy) OnAccess(req cache.Request) {
 	p.curValid = false
 }
 
-// score runs one sequence inference over the current window.
+// score runs one sequence inference over the current window. NewLSTMPolicy
+// checked the network's shape against the window's and built the scratch
+// from the network itself, so Forward cannot fail here.
 func (p *LSTMPolicy) score() float64 {
 	if p.curValid {
 		return p.curScore
@@ -114,9 +123,9 @@ func (p *LSTMPolicy) score() float64 {
 	for i := 0; i < n; i++ {
 		p.seqBuf[i] = p.window[(p.wpos+i)%n]
 	}
-	out, err := p.net.Forward(p.seqBuf)
+	out, err := p.net.Forward(p.seqBuf, p.scratch)
 	if err != nil {
-		out = 0
+		panic(err)
 	}
 	p.Inferences++
 	p.curScore = out

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -65,6 +67,66 @@ func TestLSTMPolicyOnAccessAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("OnAccess allocates %v per request, want 0", got)
 	}
+}
+
+// TestLSTMPolicyMissAllocs pins a warmed-up miss at zero allocations: the
+// inference behind Admit and OnInsert runs in the policy's own lstm.Scratch.
+func TestLSTMPolicyMissAllocs(t *testing.T) {
+	p := newTestLSTMPolicy(t, true, true, -1e18)
+	tinyCache(t, p)
+	var page uint64
+	miss := func() {
+		page++
+		req := cache.Request{Page: page, Seq: page}
+		p.OnAccess(req)
+		if !p.Admit(req) {
+			t.Fatal("miss bypassed at a threshold of -inf")
+		}
+		p.OnInsert(0, 0, req)
+	}
+	miss()
+	before := p.Inferences
+	if got := testing.AllocsPerRun(100, miss); got != 0 {
+		t.Errorf("a miss allocates %v, want 0", got)
+	}
+	if p.Inferences == before {
+		t.Error("the measured misses ran no inference")
+	}
+}
+
+// TestNewLSTMPolicyRejectsInputDim: the window feeds (page, timestamp) rows,
+// so a network of any other input dim could never score one. Building the
+// policy panics, naming both dims, instead of bypassing every miss later.
+func TestNewLSTMPolicyRejectsInputDim(t *testing.T) {
+	net, err := lstm.New(lstm.Config{InputDim: 3, HiddenDim: 4, Layers: 1, SeqLen: 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "input dim 3") || !strings.Contains(msg, "want 2") {
+			t.Errorf("panic %q does not name both input dims", msg)
+		}
+	}()
+	NewLSTMPolicy(LSTMPolicyConfig{Net: net, Normalizer: trace.Normalizer{PageScale: 1, TimeScale: 1}})
+}
+
+// TestLSTMPolicyScorePanicsOnForwardError: a failed inference is a broken
+// invariant, not a score of 0 that silently bypasses the miss.
+func TestLSTMPolicyScorePanicsOnForwardError(t *testing.T) {
+	p := newTestLSTMPolicy(t, true, true, 0)
+	tinyCache(t, p)
+	other, err := lstm.New(lstm.Config{InputDim: 2, HiddenDim: 5, Layers: 1, SeqLen: 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.scratch = other.NewScratch()
+	defer func() {
+		if recover() == nil {
+			t.Error("a failed inference scored instead of panicking")
+		}
+	}()
+	p.Admit(cache.Request{Page: 1})
 }
 
 func TestLSTMPolicyHitsSkipInference(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/gmm"
 	"repro/internal/linalg"
+	"repro/internal/lstm"
 	"repro/internal/policy"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -136,14 +137,15 @@ func TestRestoreBundleQ16Saturation(t *testing.T) {
 // allocService builds a one-partition service around a hand-made bundle whose
 // threshold splits traffic deterministically: pages in the hot window score
 // above it (admitted, then hits), pages far outside score ~0 (bypassed, so
-// every access misses straight to the SSD).
-func allocService(t *testing.T, scoring ScoringKind) (*Service, *Bundle) {
+// every access misses straight to the SSD). A non-nil shadow runs beside it.
+func allocService(t *testing.T, scoring ScoringKind, shadow *ShadowBundle) (*Service, *Bundle) {
 	t.Helper()
 	m := scoringTestModel(t)
 	cfg := DefaultConfig()
 	cfg.Partitions = 1
 	cfg.Shards = 1
 	cfg.Scoring = scoring
+	cfg.Shadow = shadow
 	norm := trace.Normalizer{PageScale: 1.0 / 32, TimeScale: 1e-4}
 	b := &Bundle{Model: m, Scorer: m, Norm: norm, Threshold: 1e-3}
 	if scoring == ScoringQ16 {
@@ -161,14 +163,33 @@ func allocService(t *testing.T, scoring ScoringKind) (*Service, *Bundle) {
 }
 
 // TestDrainBatchSteadyStateAllocs pins the serving hot path at zero
-// steady-state allocations for both scoring datapaths. The warm-up must grow
-// every latency histogram's buckets to the octaves the measured batches reach
-// — until then Observe still allocates, and the measurement would blame the
-// scorer for histogram growth.
+// steady-state allocations for both scoring datapaths, and with the shadow
+// LSTM replaying every batch through its own cache and network. The warm-up
+// must grow every latency histogram's buckets to the octaves the measured
+// batches reach — until then Observe still allocates, and the measurement
+// would blame the scorer for histogram growth.
 func TestDrainBatchSteadyStateAllocs(t *testing.T) {
-	for _, scoring := range []ScoringKind{ScoringFloat64, ScoringQ16} {
-		t.Run(scoring.String(), func(t *testing.T) {
-			svc, b := allocService(t, scoring)
+	net, err := lstm.New(lstm.Config{InputDim: 2, HiddenDim: 16, Layers: 1, SeqLen: 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := &ShadowBundle{
+		Net:        net,
+		Norm:       trace.Normalizer{PageScale: 1.0 / 32, TimeScale: 1e-4},
+		Threshold:  0.1,
+		Divergence: 0.1,
+	}
+	for _, tc := range []struct {
+		name    string
+		scoring ScoringKind
+		shadow  *ShadowBundle
+	}{
+		{ScoringFloat64.String(), ScoringFloat64, nil},
+		{ScoringQ16.String(), ScoringQ16, nil},
+		{"shadow", ScoringFloat64, shadow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, b := allocService(t, tc.scoring, tc.shadow)
 			p := svc.parts[0]
 			var seq, cold uint64
 			const batch = 512
@@ -198,11 +219,18 @@ func TestDrainBatchSteadyStateAllocs(t *testing.T) {
 			if p.batchHits == 0 || p.batchHits == p.batchOps {
 				t.Fatalf("warm-up traffic not mixed: %d hits / %d ops", p.batchHits, p.batchOps)
 			}
+			var inferences uint64
+			if p.shadow != nil {
+				inferences = p.shadow.pol.Inferences
+			}
 			if got := testing.AllocsPerRun(10, func() {
 				fill()
 				p.drainBatch(b)
 			}); got != 0 {
 				t.Errorf("drainBatch allocates %v per batch at steady state, want 0", got)
+			}
+			if p.shadow != nil && p.shadow.pol.Inferences == inferences {
+				t.Error("the shadow ran no inference in the measured batches")
 			}
 		})
 	}
@@ -328,7 +356,7 @@ func TestScoresOnlyMisses(t *testing.T) {
 // closures — never per-resident-block buffer growth (the old path built
 // fresh locs/pages/times/scores slices on every refresh).
 func TestRescoreResidentReusesBuffers(t *testing.T) {
-	svc, b := allocService(t, ScoringFloat64)
+	svc, b := allocService(t, ScoringFloat64, nil)
 	p := svc.parts[0]
 	// Make a few hundred blocks resident.
 	for i := 0; i < 400; i++ {

@@ -112,10 +112,11 @@ func (sh ShadowSpec) effDivergence() float64 {
 }
 
 // ShadowBundle is the trained shadow scoring state: one network shared by
-// every partition's shadow policy (Forward allocates its cell state per
-// call, so concurrent partition drains are safe) plus the normalizer fitted
-// with it. Weights are never checkpointed — training is deterministic from
-// the spec, so Open and Resume both rebuild the identical bundle.
+// every partition's shadow policy (Forward only reads it, and each
+// partition's policy owns the lstm.Scratch its inferences run in, so
+// concurrent partition drains are safe) plus the normalizer fitted with it.
+// Weights are never checkpointed — training is deterministic from the spec,
+// so Open and Resume both rebuild the identical bundle.
 type ShadowBundle struct {
 	Net        *lstm.Network
 	Norm       trace.Normalizer
