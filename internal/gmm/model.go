@@ -167,16 +167,6 @@ func (m *Model) MeanLogLikelihood(points []linalg.Vec2) float64 {
 	return sum / float64(len(points))
 }
 
-// WeightsSum returns the sum of mixing weights (1.0 up to rounding for any
-// model built through New or Fit); exposed for invariant checks.
-func (m *Model) WeightsSum() float64 {
-	s := 0.0
-	for i := range m.Components {
-		s += m.Components[i].Weight
-	}
-	return s
-}
-
 // Validate checks the model invariants: weights form a probability simplex
 // and every covariance is positive definite with finite entries.
 func (m *Model) Validate() error {

@@ -25,7 +25,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Error("empty component list accepted")
 	}
-	if _, err := New([]Component{{Weight: -1, Cov: linalg.SymIdentity()}}); err == nil {
+	if _, err := New([]Component{{Weight: -1, Cov: linalg.SymDiag(1, 1)}}); err == nil {
 		t.Error("negative weight accepted")
 	}
 	if _, err := New([]Component{{Weight: 0}}); err == nil {
@@ -38,8 +38,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestNewRenormalizesWeights(t *testing.T) {
 	m, err := New([]Component{
-		{Weight: 2, Mean: linalg.V2(0, 0), Cov: linalg.SymIdentity()},
-		{Weight: 6, Mean: linalg.V2(5, 5), Cov: linalg.SymIdentity()},
+		{Weight: 2, Mean: linalg.V2(0, 0), Cov: linalg.SymDiag(1, 1)},
+		{Weight: 6, Mean: linalg.V2(5, 5), Cov: linalg.SymDiag(1, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,14 +47,14 @@ func TestNewRenormalizesWeights(t *testing.T) {
 	if math.Abs(m.Components[0].Weight-0.25) > 1e-12 {
 		t.Errorf("weight 0 = %v, want 0.25", m.Components[0].Weight)
 	}
-	if math.Abs(m.WeightsSum()-1) > 1e-12 {
-		t.Errorf("weights sum = %v", m.WeightsSum())
+	if sum := m.Components[0].Weight + m.Components[1].Weight; math.Abs(sum-1) > 1e-12 {
+		t.Errorf("weights sum = %v", sum)
 	}
 }
 
 func TestScoreSingleGaussian(t *testing.T) {
 	m, err := New([]Component{
-		{Weight: 1, Mean: linalg.V2(0, 0), Cov: linalg.SymIdentity()},
+		{Weight: 1, Mean: linalg.V2(0, 0), Cov: linalg.SymDiag(1, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,9 @@ import (
 // the five constants the pipelined PE consumes per Gaussian: the two mean
 // coordinates, the three precision-matrix entries folded with the -1/2
 // exponent factor, and the log coefficient. Values are stored in Q16.16
-// two's-complement, matching a 32-bit datapath.
+// two's-complement, matching a 32-bit datapath: six words per component, so
+// at K = 256 the model is 6 KiB, which is why the paper's design holds it
+// in a single on-board buffer and never touches HBM during inference.
 type QuantizedModel struct {
 	// Per-component quantized parameters, parallel slices of length K.
 	MeanX, MeanY []int32
@@ -191,9 +193,3 @@ func (q *QuantizedModel) ScorePageTimeBatchScratch(pages, times, dst []float64, 
 	}
 	q.dq.scorePageTimes(pages, times, dst, s)
 }
-
-// WeightBufferBytes returns the on-chip storage the quantized model needs:
-// six 32-bit words per component. With K = 256 this is 6 KiB, which is why
-// the paper's design holds the whole model in a single on-board buffer and
-// never touches HBM during inference.
-func (q *QuantizedModel) WeightBufferBytes() int { return q.K() * 6 * 4 }

@@ -12,6 +12,12 @@ import (
 // datapath introduces on a realistically trained model: near the data the
 // per-constant 2^-17 representation error stays far below the admission
 // threshold's resolution.
+// weightWords counts the quantized model's 32-bit weight-buffer words, the
+// six constants of every component.
+func weightWords(q *QuantizedModel) int {
+	return len(q.MeanX) + len(q.MeanY) + len(q.PrecXX) + len(q.PrecXY) + len(q.PrecYY) + len(q.LogCoef)
+}
+
 func TestQuantizedParityOnTrainedModel(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
@@ -189,8 +195,8 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 		if rep.MaxAbsErr > 0.5/qScale+1e-12 {
 			t.Fatalf("MaxAbsErr %v exceeds the round-to-nearest bound", rep.MaxAbsErr)
 		}
-		if got := q.WeightBufferBytes(); got != 2*6*4 {
-			t.Fatalf("WeightBufferBytes = %d", got)
+		if got := weightWords(q); got != 2*6 {
+			t.Fatalf("weight buffer holds %d words, want %d", got, 2*6)
 		}
 		scalar := q.ScorePageTime(px, py)
 		pages, times, dst := []float64{px}, []float64{py}, []float64{0}

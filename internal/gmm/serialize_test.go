@@ -110,8 +110,8 @@ func TestQuantizedWeightBufferSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := Quantize(res.Model)
-	if got := q.WeightBufferBytes(); got != 16*24 {
-		t.Errorf("WeightBufferBytes = %d, want %d", got, 16*24)
+	if got := weightWords(q); got != 16*6 {
+		t.Errorf("weight buffer holds %d words, want %d", got, 16*6)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // Config sizes the HBM model. The Alveo U50 exposes 32 pseudo-channels;
@@ -40,10 +38,8 @@ func (c Config) Validate() error {
 
 // Memory is the banked HBM model. Like ssd.Device it runs on virtual time.
 type Memory struct {
-	cfg      Config
-	busy     []int64
-	accesses stats.Counter
-	lat      stats.LatencyAccumulator
+	cfg  Config
+	busy []int64
 }
 
 // New builds the memory model.
@@ -65,27 +61,18 @@ func (m *Memory) Access(page uint64, nowNs int64) int64 {
 	}
 	done := start + m.cfg.AccessLatency.Nanoseconds()
 	m.busy[bank] = done
-	m.accesses.Inc()
-	m.lat.Observe(done - nowNs)
 	return done
 }
 
 // State is the memory model's full mutable state: per-bank busy horizons on
-// the virtual clock plus the access accounting. Part of the serving
-// subsystem's checkpoint surface.
+// the virtual clock. Part of the serving subsystem's checkpoint surface.
 type State struct {
-	Busy     []int64                `json:"busy"`
-	Accesses uint64                 `json:"accesses"`
-	Lat      stats.AccumulatorState `json:"lat"`
+	Busy []int64 `json:"busy"`
 }
 
 // State exports the model's mutable state.
 func (m *Memory) State() State {
-	return State{
-		Busy:     append([]int64(nil), m.busy...),
-		Accesses: m.accesses.Value(),
-		Lat:      m.lat.State(),
-	}
+	return State{Busy: append([]int64(nil), m.busy...)}
 }
 
 // RestoreState replaces the model's mutable state. The bank count must
@@ -95,17 +82,8 @@ func (m *Memory) RestoreState(s State) error {
 		return fmt.Errorf("hbm: state has %d banks, memory has %d", len(s.Busy), len(m.busy))
 	}
 	copy(m.busy, s.Busy)
-	m.accesses.Reset()
-	m.accesses.Add(s.Accesses)
-	m.lat.RestoreState(s.Lat)
 	return nil
 }
 
 // HitLatency returns the nominal service latency in nanoseconds.
 func (m *Memory) HitLatency() int64 { return m.cfg.AccessLatency.Nanoseconds() }
-
-// Accesses returns the access count.
-func (m *Memory) Accesses() uint64 { return m.accesses.Value() }
-
-// MeanLatency returns the observed mean access latency.
-func (m *Memory) MeanLatency() time.Duration { return m.lat.MeanDuration() }

@@ -15,6 +15,9 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Banks: 4}).Validate(); err == nil {
 		t.Error("zero latency accepted")
 	}
+	if _, err := New(Config{Banks: 4}); err == nil {
+		t.Error("New accepted an invalid config")
+	}
 }
 
 func TestMemoryAccess(t *testing.T) {
@@ -43,18 +46,12 @@ func TestBankConflict(t *testing.T) {
 	if done := m.Access(1, 0); done != 1000 {
 		t.Errorf("independent bank done at %d, want 1000", done)
 	}
-	if m.Accesses() != 3 {
-		t.Errorf("accesses = %d", m.Accesses())
-	}
-	if m.MeanLatency() != (1000+2000+1000)/3*time.Nanosecond {
-		t.Errorf("mean latency = %v", m.MeanLatency())
-	}
 }
 
 // TestStateRoundTrip: a memory restored from another's exported state serves
 // the next accesses exactly as the original does — same completion times
-// (the bank busy horizons carry over), access count and mean latency — and a
-// state with a different bank count is refused.
+// (the bank busy horizons carry over) — and a state with a different bank
+// count is refused.
 func TestStateRoundTrip(t *testing.T) {
 	cfg := Config{Banks: 4, AccessLatency: time.Microsecond}
 	orig, _ := New(cfg)
@@ -72,10 +69,6 @@ func TestStateRoundTrip(t *testing.T) {
 		if a, b := orig.Access(page, now), restored.Access(page, now); a != b {
 			t.Errorf("page %d done at %d on the original, %d restored", page, a, b)
 		}
-	}
-	if orig.Accesses() != restored.Accesses() || orig.MeanLatency() != restored.MeanLatency() {
-		t.Errorf("accounting diverged: original %d accesses / %v mean, restored %d / %v",
-			orig.Accesses(), orig.MeanLatency(), restored.Accesses(), restored.MeanLatency())
 	}
 	other, _ := New(Config{Banks: 8, AccessLatency: time.Microsecond})
 	if err := other.RestoreState(orig.State()); err == nil {

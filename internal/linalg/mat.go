@@ -13,9 +13,6 @@ type Mat2 struct {
 	A, B, C, D float64
 }
 
-// Identity2 returns the 2x2 identity matrix.
-func Identity2() Mat2 { return Mat2{A: 1, D: 1} }
-
 // Add returns m + n.
 func (m Mat2) Add(n Mat2) Mat2 {
 	return Mat2{m.A + n.A, m.B + n.B, m.C + n.C, m.D + n.D}
@@ -78,9 +75,6 @@ func (m Mat2) String() string {
 type Sym2 struct {
 	XX, XY, YY float64
 }
-
-// SymIdentity returns the symmetric identity matrix.
-func SymIdentity() Sym2 { return Sym2{XX: 1, YY: 1} }
 
 // SymDiag returns diag(x, y).
 func SymDiag(x, y float64) Sym2 { return Sym2{XX: x, YY: y} }

@@ -15,7 +15,7 @@ func TestMat2Mul(t *testing.T) {
 	if got != want {
 		t.Errorf("Mul = %v, want %v", got, want)
 	}
-	if id := Identity2(); m.Mul(id) != m || id.Mul(m) != m {
+	if id := (Mat2{A: 1, D: 1}); m.Mul(id) != m || id.Mul(m) != m {
 		t.Error("identity is not a multiplicative unit")
 	}
 }
@@ -61,7 +61,7 @@ func TestMat2Inverse(t *testing.T) {
 		t.Fatal("invertible matrix reported singular")
 	}
 	prod := m.Mul(inv)
-	id := Identity2()
+	id := Mat2{A: 1, D: 1}
 	for _, pair := range [][2]float64{
 		{prod.A, id.A}, {prod.B, id.B}, {prod.C, id.C}, {prod.D, id.D},
 	} {
@@ -113,7 +113,7 @@ func TestSym2PositiveDefinite(t *testing.T) {
 		s    Sym2
 		want bool
 	}{
-		{SymIdentity(), true},
+		{SymDiag(1, 1), true},
 		{Sym2{XX: 2, XY: 1, YY: 2}, true},
 		{Sym2{XX: -1, YY: 1}, false},
 		{Sym2{XX: 1, XY: 2, YY: 1}, false}, // indefinite
@@ -163,7 +163,7 @@ func TestSym2Regularize(t *testing.T) {
 func TestMahalanobis(t *testing.T) {
 	// With identity precision, Mahalanobis^2 == squared Euclidean distance.
 	x, mu := V2(3, 4), V2(0, 0)
-	if got := MahalanobisSquared(x, mu, SymIdentity()); got != 25 {
+	if got := MahalanobisSquared(x, mu, SymDiag(1, 1)); got != 25 {
 		t.Errorf("MahalanobisSquared = %v, want 25", got)
 	}
 }
@@ -209,7 +209,7 @@ func TestMahalanobisNonNegative(t *testing.T) {
 			t.Fatalf("negative Mahalanobis %v", d)
 		}
 	}
-	if MahalanobisSquared(V2(1, 1), V2(1, 1), SymIdentity()) != 0 {
+	if MahalanobisSquared(V2(1, 1), V2(1, 1), SymDiag(1, 1)) != 0 {
 		t.Error("distance to self should be zero")
 	}
 }

@@ -148,11 +148,6 @@ func (p *GMM) Mode() GMMMode { return p.mode }
 // Threshold returns the admission cutoff.
 func (p *GMM) Threshold() float64 { return p.threshold }
 
-// SetThreshold replaces the admission cutoff. The online serving subsystem
-// calls it at batch boundaries when a model refresh lands a recalibrated
-// threshold; scores already stored with resident blocks are untouched.
-func (p *GMM) SetThreshold(th float64) { p.threshold = th }
-
 // ProvideScore supplies the GMM score for the next access, overriding both
 // the precomputed-score slice and live inference. A replay that splits one
 // request stream across several caches uses it: it batch-scores the stream at

@@ -301,22 +301,31 @@ func TestGMMProvideScoreOverridesInference(t *testing.T) {
 	}
 }
 
-func TestGMMSetThreshold(t *testing.T) {
+// TestGMMThresholdGatesAdmission: the configured cutoff decides admission —
+// a hot page passes the default threshold and bypasses one raised above its
+// score.
+func TestGMMThresholdGatesAdmission(t *testing.T) {
 	p := newTestGMM(GMMCachingEviction, 3)
 	p.Attach(4, 2)
 	if p.Threshold() != 0.5 {
 		t.Fatalf("initial threshold = %v", p.Threshold())
 	}
-	// Raise the cutoff above the hot score: now even hot pages bypass.
-	p.SetThreshold(2)
 	p.OnAccess(cache.Request{Page: 3, Seq: 0})
-	if p.Admit(cache.Request{Page: 3, Seq: 0}) {
-		t.Fatal("hot page admitted past raised threshold")
+	if !p.Admit(cache.Request{Page: 3, Seq: 0}) {
+		t.Fatal("hot page rejected at the default threshold")
 	}
-	p.SetThreshold(0.5)
-	p.OnAccess(cache.Request{Page: 3, Seq: 1})
-	if !p.Admit(cache.Request{Page: 3, Seq: 1}) {
-		t.Fatal("hot page rejected after restoring threshold")
+	// Raise the cutoff above the hot score: now even hot pages bypass.
+	raised := NewGMM(GMMConfig{
+		Scorer:     stubScorer{hot: map[int]bool{3: true}},
+		Normalizer: stubNorm(),
+		Transform:  trace.DefaultTransformConfig(),
+		Threshold:  2,
+		Mode:       GMMCachingEviction,
+	})
+	raised.Attach(4, 2)
+	raised.OnAccess(cache.Request{Page: 3, Seq: 1})
+	if raised.Admit(cache.Request{Page: 3, Seq: 1}) {
+		t.Fatal("hot page admitted past raised threshold")
 	}
 }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cache"
@@ -56,11 +58,49 @@ func auditResidency(s *Service) error {
 	return nil
 }
 
+// auditAccounting checks op conservation in every partition: each served
+// request is recorded exactly once, in its tenant's accounting cell, and
+// every view derived from the cells agrees with the cache's own counters.
+// Per partition, the sojourn histogram counts what its cells count, which is
+// cache hits + misses + host-routed ops; the cells' hits are the cache hits
+// plus the host-routed ops (served from host DRAM, counted as hits); and in
+// each cell, hits are exactly the HBM-served requests and every request's
+// device time lands in the HBM or the SSD histogram.
+func auditAccounting(s *Service) error {
+	for pi, p := range s.parts {
+		cs := p.cache.Stats()
+		var ops, hits int64
+		for ti := range p.ten {
+			cell := &p.ten[ti]
+			n := cell.hist.Count()
+			ops += n
+			hits += int64(cell.hits)
+			if h := cell.hbmHist.Count(); h != int64(cell.hits) {
+				return fmt.Errorf("partition %d tenant %d: %d HBM-served requests, %d hits", pi, ti, h, cell.hits)
+			}
+			if d := cell.hbmHist.Count() + cell.ssdHist.Count(); d != n {
+				return fmt.Errorf("partition %d tenant %d: %d HBM+SSD device times for %d requests", pi, ti, d, n)
+			}
+		}
+		if got := p.hist.Count(); got != ops {
+			return fmt.Errorf("partition %d: histogram counts %d ops, its cells %d", pi, got, ops)
+		}
+		if want := int64(cs.Hits + cs.Misses + p.hostOps); ops != want {
+			return fmt.Errorf("partition %d: cells count %d ops, cache hits+misses+host ops = %d", pi, ops, want)
+		}
+		if want := int64(cs.Hits + p.hostOps); hits != want {
+			return fmt.Errorf("partition %d: cells count %d hits, cache hits+host ops = %d", pi, hits, want)
+		}
+	}
+	return nil
+}
+
 // TestResidencyAuditAcrossRefreshAndResize is the share/residency audit: a
 // 3-tenant run with a mid-run working-set shift (sync refresh + resident
 // rescore), elastic shares enabled, and one forced share resize, audited
 // after every single batch. The owner map, the residency counters and the
-// cache contents must agree at every batch boundary of the run.
+// cache contents must agree at every batch boundary of the run, and so must
+// the accounting (auditAccounting).
 func TestResidencyAuditAcrossRefreshAndResize(t *testing.T) {
 	t.Parallel()
 	specs := []TenantSpec{
@@ -143,6 +183,9 @@ func TestResidencyAuditAcrossRefreshAndResize(t *testing.T) {
 		if err := auditResidency(svc); err != nil {
 			t.Fatalf("batch %d: %v", svc.batches, err)
 		}
+		if err := auditAccounting(svc); err != nil {
+			t.Fatalf("batch %d: %v", svc.batches, err)
+		}
 		// A forced mid-run resize (beyond whatever the controller does on
 		// its own) pins the shrink path even if this configuration's
 		// controller never transfers naturally.
@@ -162,5 +205,44 @@ func TestResidencyAuditAcrossRefreshAndResize(t *testing.T) {
 		if err := p.cache.CheckInvariants(); err != nil {
 			t.Errorf("partition %d: %v", pi, err)
 		}
+	}
+}
+
+// TestAccountingAuditDataflow runs the committed dataflow spec — host-routed
+// pages, the cxl link and the fpga timeline — and audits op conservation at
+// every batch boundary: the host-routed requests that bypass the cache must
+// still be counted once each, as hits.
+func TestAccountingAuditDataflow(t *testing.T) {
+	t.Parallel()
+	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "icgmm-serve", "testdata", "spec-dataflow.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := Open(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		n, err := sess.Step(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		if err := auditAccounting(sess.svc); err != nil {
+			t.Fatalf("batch %d: %v", sess.svc.batches, err)
+		}
+	}
+	var hostOps uint64
+	for _, p := range sess.svc.parts {
+		hostOps += p.hostOps
+	}
+	if hostOps == 0 {
+		t.Fatal("no request was host-routed; the audit lost its host-path coverage")
 	}
 }

@@ -20,10 +20,14 @@ import (
 
 // checkpointFormat versions the on-disk checkpoint document.
 //
-// v2 stores histograms as bucket counts only. Decoding is not strict, so a v1
-// document (with retained raw samples) must be refused by its format rather
-// than load with its samples silently dropped.
-const checkpointFormat = "icgmm-session-v2"
+// v3 stores each accounting cell's cumulative totals and each tenant's
+// control-interval mark, where v2 stored per-interval copies (histograms
+// have been bucket counts only since v2). Decoding is not strict, so an
+// older document must be refused by its format rather than load with fields
+// silently dropped: a v1 document would lose its retained raw samples, a v2
+// one would resume with zero marks and queue sums and mis-measure the next
+// control interval.
+const checkpointFormat = "icgmm-session-v3"
 
 // checkpointDoc is the complete persisted form of a paused session: the
 // spec that opened it plus every piece of mutable state the run has
@@ -109,7 +113,7 @@ type windowState struct {
 }
 
 // tenantCtlState is one tenant's serving-time state: the controller's
-// accumulated multiplier and hill-climb memory.
+// accumulated multiplier, hill-climb memory and control-interval mark.
 type tenantCtlState struct {
 	Mult            float64 `json:"mult"`
 	Threshold       float64 `json:"threshold"`
@@ -123,6 +127,12 @@ type tenantCtlState struct {
 	// tenants that were never measured so earlier checkpoints round-trip.
 	HeadroomEWMA float64 `json:"headroom_ewma,omitempty"`
 	HeadroomSeen bool    `json:"headroom_seen,omitempty"`
+	// The tenant's cumulative totals at the last control step (zero
+	// without a controller).
+	MarkOps      uint64 `json:"mark_ops,omitempty"`
+	MarkHits     uint64 `json:"mark_hits,omitempty"`
+	MarkLatSumNs int64  `json:"mark_lat_sum_ns,omitempty"`
+	MarkQueueSum uint64 `json:"mark_queue_sum,omitempty"`
 }
 
 // partitionState is one partition's complete device state.
@@ -134,18 +144,15 @@ type partitionState struct {
 	Link         cxl.Stats            `json:"link"`
 	NowNs        int64                `json:"now_ns"`
 	EngineBusyNs int64                `json:"engine_busy_ns,omitempty"`
-	Ops          uint64               `json:"ops"`
 	Hist         stats.HistogramState `json:"hist"`
 	Tenants      []tenantCellState    `json:"tenants"`
 
 	// Dataflow timing state (omitted under flat timing): the fpga timeline's
 	// cursors and outstanding-window occupancy, plus the partition's
-	// host-routing and queue-depth accounting.
-	Dataflow   *fpga.TimelineState `json:"dataflow,omitempty"`
-	HostOps    uint64              `json:"host_ops,omitempty"`
-	DFOps      uint64              `json:"df_ops,omitempty"`
-	DFQueueSum uint64              `json:"df_queue_sum,omitempty"`
-	DFStalls   uint64              `json:"df_stalls,omitempty"`
+	// host-routing and stall accounting.
+	Dataflow *fpga.TimelineState `json:"dataflow,omitempty"`
+	HostOps  uint64              `json:"host_ops,omitempty"`
+	DFStalls uint64              `json:"df_stalls,omitempty"`
 
 	// Shadow-policy state (omitted when no shadow is configured, keeping
 	// shadow-less checkpoints byte-compatible with earlier builds).
@@ -163,20 +170,17 @@ type policyState struct {
 	Resident   []int       `json:"resident"`
 }
 
-// tenantCellState is one (partition, tenant) accounting cell.
+// tenantCellState is one (partition, tenant) accounting cell. Its op count
+// and latency sum ride in Hist's exact accumulator.
 type tenantCellState struct {
-	Ops           uint64                `json:"ops,omitempty"`
 	Hits          uint64                `json:"hits,omitempty"`
 	BytesAdmitted uint64                `json:"bytes_admitted,omitempty"`
+	QueueSum      uint64                `json:"queue_sum,omitempty"`
 	Hist          stats.HistogramState  `json:"hist"`
 	CXL           stats.HistogramState  `json:"cxl"`
 	HBM           stats.HistogramState  `json:"hbm"`
 	SSD           stats.HistogramState  `json:"ssd"`
-	CtrlOps       uint64                `json:"ctrl_ops,omitempty"`
-	CtrlHits      uint64                `json:"ctrl_hits,omitempty"`
-	CtrlQueueSum  uint64                `json:"ctrl_queue_sum,omitempty"`
-	CtrlHist      *stats.HistogramState `json:"ctrl_hist,omitempty"`
-	LatSumNs      int64                 `json:"lat_sum_ns,omitempty"`
+	IntervalHist  *stats.HistogramState `json:"interval_hist,omitempty"`
 }
 
 // sourceState is the workload stream's cursor: which of the two source
@@ -339,6 +343,10 @@ func (s *Service) exportState() serviceState {
 			SatHold:         t.satHold,
 			HeadroomEWMA:    t.headroomEWMA,
 			HeadroomSeen:    t.headroomSeen,
+			MarkOps:         t.mark.ops,
+			MarkHits:        t.mark.hits,
+			MarkLatSumNs:    t.mark.latSumNs,
+			MarkQueueSum:    t.mark.queueSum,
 		}
 	}
 	if s.ctrl != nil {
@@ -361,16 +369,13 @@ func (s *Service) exportState() serviceState {
 			Link:         p.link.Stats(),
 			NowNs:        p.now,
 			EngineBusyNs: p.engineBusy,
-			Ops:          p.ops,
 			Hist:         p.hist.State(),
 			Tenants:      make([]tenantCellState, len(p.ten)),
 			HostOps:      p.hostOps,
-			DFOps:        p.dfOps,
-			DFQueueSum:   p.dfQueueSum,
 			DFStalls:     p.dfStalls,
 		}
-		if tl := p.model.timeline(); tl != nil {
-			tls := tl.State()
+		if p.df != nil {
+			tls := p.df.Timeline.State()
 			ps.Dataflow = &tls
 		}
 		if p.shadow != nil {
@@ -380,21 +385,17 @@ func (s *Service) exportState() serviceState {
 		for t := range p.ten {
 			cell := &p.ten[t]
 			cs := tenantCellState{
-				Ops:           cell.ops,
 				Hits:          cell.hits,
 				BytesAdmitted: cell.bytesAdmitted,
+				QueueSum:      cell.queueSum,
 				Hist:          cell.hist.State(),
 				CXL:           cell.cxlHist.State(),
 				HBM:           cell.hbmHist.State(),
 				SSD:           cell.ssdHist.State(),
-				CtrlOps:       cell.ctrlOps,
-				CtrlHits:      cell.ctrlHits,
-				CtrlQueueSum:  cell.ctrlQueueSum,
-				LatSumNs:      cell.latSumNs,
 			}
-			if cell.ctrlHist != nil {
-				hs := cell.ctrlHist.State()
-				cs.CtrlHist = &hs
+			if cell.intervalHist != nil {
+				hs := cell.intervalHist.State()
+				cs.IntervalHist = &hs
 			}
 			ps.Tenants[t] = cs
 		}
@@ -441,6 +442,7 @@ func (s *Service) restoreState(st serviceState) error {
 		t.satHold = ts.SatHold
 		t.headroomEWMA = ts.HeadroomEWMA
 		t.headroomSeen = ts.HeadroomSeen
+		t.mark = totals{ops: ts.MarkOps, hits: ts.MarkHits, latSumNs: ts.MarkLatSumNs, queueSum: ts.MarkQueueSum}
 	}
 	if s.ctrl != nil {
 		s.ctrl.cooldown = st.ControllerCooldown
@@ -469,18 +471,15 @@ func (s *Service) restoreState(st serviceState) error {
 		p.link.RestoreStats(ps.Link)
 		p.now = ps.NowNs
 		p.engineBusy = ps.EngineBusyNs
-		p.ops = ps.Ops
 		p.hostOps = ps.HostOps
-		p.dfOps = ps.DFOps
-		p.dfQueueSum = ps.DFQueueSum
 		p.dfStalls = ps.DFStalls
-		switch tl := p.model.timeline(); {
-		case tl == nil && ps.Dataflow != nil:
+		switch {
+		case p.df == nil && ps.Dataflow != nil:
 			return fmt.Errorf("serve: checkpoint partition %d carries dataflow timeline state but the spec's timing is flat", i)
-		case tl != nil && ps.Dataflow == nil:
+		case p.df != nil && ps.Dataflow == nil:
 			return fmt.Errorf("serve: spec timing is dataflow but checkpoint partition %d has no timeline state", i)
-		case tl != nil:
-			if err := tl.RestoreState(*ps.Dataflow); err != nil {
+		case p.df != nil:
+			if err := p.df.Timeline.RestoreState(*ps.Dataflow); err != nil {
 				return fmt.Errorf("serve: checkpoint partition %d: %w", i, err)
 			}
 		}
@@ -500,9 +499,9 @@ func (s *Service) restoreState(st serviceState) error {
 		}
 		for t, cs := range ps.Tenants {
 			cell := &p.ten[t]
-			cell.ops = cs.Ops
 			cell.hits = cs.Hits
 			cell.bytesAdmitted = cs.BytesAdmitted
+			cell.queueSum = cs.QueueSum
 			if err := cell.hist.RestoreState(cs.Hist); err != nil {
 				return err
 			}
@@ -515,17 +514,13 @@ func (s *Service) restoreState(st serviceState) error {
 			if err := cell.ssdHist.RestoreState(cs.SSD); err != nil {
 				return err
 			}
-			cell.ctrlOps = cs.CtrlOps
-			cell.ctrlHits = cs.CtrlHits
-			cell.ctrlQueueSum = cs.CtrlQueueSum
-			cell.latSumNs = cs.LatSumNs
 			switch {
-			case cs.CtrlHist != nil && cell.ctrlHist != nil:
-				if err := cell.ctrlHist.RestoreState(*cs.CtrlHist); err != nil {
+			case (cs.IntervalHist != nil) != (cell.intervalHist != nil):
+				return fmt.Errorf("serve: checkpoint partition %d tenant %d interval-histogram presence mismatch", i, t)
+			case cs.IntervalHist != nil:
+				if err := cell.intervalHist.RestoreState(*cs.IntervalHist); err != nil {
 					return err
 				}
-			case cs.CtrlHist != nil || (cell.ctrlHist != nil && cell.ctrlHist.Count() != 0):
-				return fmt.Errorf("serve: checkpoint partition %d tenant %d control-histogram presence mismatch", i, t)
 			}
 		}
 	}

@@ -203,6 +203,9 @@ type tenantState struct {
 	// edge cannot be drained on every comfortable swing.
 	headroomEWMA float64
 	headroomSeen bool
+	// mark is the tenant's cumulative totals at the last control step: the
+	// controller measures an interval as the totals now minus the mark.
+	mark totals
 }
 
 // headroomAlpha is the smoothing factor for tenantState.headroomEWMA.
@@ -295,7 +298,7 @@ func (c *controller) donorFloor(ti int) int {
 // step runs one control interval: measure each QoS tenant, classify against
 // its band, apply the threshold step rule, publish the new thresholds, run
 // the share lever, emit one "control" metric record per measured tenant (and
-// one "share" record per transfer), and reset the interval accumulators.
+// one "share" record per transfer), and start the next interval (reset).
 func (c *controller) step() {
 	s := c.svc
 	changed := false
@@ -412,12 +415,8 @@ func (c *controller) adaptShares(obs []ctrlObs) {
 		// the limiter, not block count) gains nothing from more blocks, and
 		// draining a donor for it is pure waste. Require the receiver to be
 		// pressing its cap, within one quantum of slack.
-		var res, bud int
-		for _, p := range s.parts {
-			res += p.pol.Resident(ti)
-			bud += p.pol.Budget(ti)
-		}
-		if res+c.cfg.ShareQuantum*len(s.parts) < bud {
+		res, bud := s.tenantBlocks(ti)
+		if res+uint64(c.cfg.ShareQuantum*len(s.parts)) < bud {
 			continue
 		}
 		if d := -t.spec.QoS.headroom(o.v); recv == -1 || d > worst {
@@ -455,62 +454,48 @@ func (c *controller) adaptShares(obs []ctrlObs) {
 	c.cooldown = c.cfg.ShareCooldown
 }
 
-// measure merges tenant ti's control-interval accumulators across partitions
-// (in partition order) into one QoS metric value. ok is false when the
-// tenant served nothing this interval.
+// measure computes tenant ti's QoS metric over the elapsed control
+// interval: the difference of its cumulative totals against its mark, or,
+// for p99_ns, the merge of its interval histograms in partition order. ok
+// is false when the tenant served nothing this interval.
 func (c *controller) measure(ti int, q QoSSpec) (v float64, ok bool) {
 	s := c.svc
-	var ops, hits uint64
-	for _, p := range s.parts {
-		ops += p.ten[ti].ctrlOps
-		hits += p.ten[ti].ctrlHits
-	}
+	now, mark := s.tenantTotals(ti), s.tenants[ti].mark
+	ops := now.ops - mark.ops
 	if ops == 0 {
 		return 0, false
 	}
 	switch q.Metric {
 	case QoSHitRatio:
-		return float64(hits) / float64(ops), true
+		return float64(now.hits-mark.hits) / float64(ops), true
 	case QoSQueueDepth:
 		// Mean outstanding-window depth observed at arrival across the
 		// tenant's requests (host-routed requests observe depth 0: they
 		// never queue on the device).
-		var depth uint64
-		for _, p := range s.parts {
-			depth += p.ten[ti].ctrlQueueSum
-		}
-		return float64(depth) / float64(ops), true
+		return float64(now.queueSum-mark.queueSum) / float64(ops), true
 	case QoSMeanNs:
-		var sum, count int64
-		for _, p := range s.parts {
-			sum += p.ten[ti].ctrlHist.Sum()
-			count += p.ten[ti].ctrlHist.Count()
-		}
-		if count == 0 {
-			return 0, false
-		}
-		return float64(sum) / float64(count), true
+		return float64(now.latSumNs-mark.latSumNs) / float64(ops), true
 	default: // QoSP99Ns
 		agg := &c.p99
 		agg.Reset()
 		for _, p := range s.parts {
-			agg.Merge(p.ten[ti].ctrlHist)
-		}
-		if agg.Count() == 0 {
-			return 0, false
+			agg.Merge(p.ten[ti].intervalHist)
 		}
 		return float64(agg.Percentile(99)), true
 	}
 }
 
-// reset clears every tenant's control-interval accumulators.
+// reset starts the next control interval: every tenant's mark moves to its
+// current totals and the p99_ns interval histograms empty.
 func (c *controller) reset() {
-	for _, p := range c.svc.parts {
+	s := c.svc
+	for ti, t := range s.tenants {
+		t.mark = s.tenantTotals(ti)
+	}
+	for _, p := range s.parts {
 		for ti := range p.ten {
-			ts := &p.ten[ti]
-			ts.ctrlOps, ts.ctrlHits, ts.ctrlQueueSum = 0, 0, 0
-			if ts.ctrlHist != nil {
-				ts.ctrlHist.Reset()
+			if h := p.ten[ti].intervalHist; h != nil {
+				h.Reset()
 			}
 		}
 	}

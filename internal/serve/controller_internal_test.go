@@ -14,7 +14,7 @@ import (
 
 // ctrlHarness builds a minimal Service around hand-constructed partitions so
 // controller steps can be driven directly: no workload, no training — the
-// control-interval counters are set by hand between steps.
+// accounting cells are charged by hand between steps.
 type ctrlHarness struct {
 	svc *Service
 	out bytes.Buffer
@@ -52,7 +52,7 @@ func newCtrlHarness(t *testing.T, specs []TenantSpec, budgets []int, cfg Control
 		pol.bindScorer(func(uint64) float64 { return h.score })
 		ten := make([]tenantPartStats, len(specs))
 		for i := range ten {
-			ten[i] = newTenantPartStats(true)
+			ten[i] = newTenantPartStats(specs[i])
 		}
 		s.parts = append(s.parts, &partition{cache: c, pol: pol, ten: ten})
 	}
@@ -65,12 +65,15 @@ func newCtrlHarness(t *testing.T, specs []TenantSpec, budgets []int, cfg Control
 	return h
 }
 
-// observe charges one interval's worth of traffic to tenant ti (all in
-// partition 0; the controller merges across partitions anyway).
+// observe charges one interval's worth of traffic to tenant ti's cumulative
+// cell (all in partition 0; the controller merges across partitions anyway):
+// ops sojourn samples, hits of them hits.
 func (h *ctrlHarness) observe(ti int, ops, hits uint64) {
 	cell := &h.svc.parts[0].ten[ti]
-	cell.ctrlOps += ops
-	cell.ctrlHits += hits
+	for i := uint64(0); i < ops; i++ {
+		cell.hist.Observe(1000)
+	}
+	cell.hits += hits
 }
 
 // fill inserts n distinct pages for tenant ti so share shrinks have resident
@@ -371,17 +374,21 @@ func TestControllerShareFloorAndEligibility(t *testing.T) {
 // whose first partition sees 70,000 fast samples before a slow tail must
 // report the tail, merged across partitions — a histogram keeping only its
 // first 65,536 samples reported the fast prefix — and a measurement must not
-// allocate. Not parallel: AllocsPerRun counts every goroutine's mallocs.
+// allocate. A reset then starts an empty interval, however much the
+// cumulative cells hold. Not parallel: AllocsPerRun counts every goroutine's
+// mallocs.
 func TestControllerMeasureP99(t *testing.T) {
 	q := QoSSpec{Metric: QoSP99Ns, Target: 50_000, Band: 0.10}
 	h := newCtrlHarness(t, []TenantSpec{{Name: "lat", Share: 1, QoS: &q}}, []int{4}, ControlConfig{Every: 1, Step: 2})
 	s := h.svc
+	// fill records n samples the way serveOne does: in the cumulative cell
+	// and in the p99_ns tenant's interval histogram.
 	fill := func(pi, n int, ns int64) {
 		cell := &s.parts[pi].ten[0]
 		for i := 0; i < n; i++ {
-			cell.ctrlHist.Observe(ns)
+			cell.hist.Observe(ns)
+			cell.intervalHist.Observe(ns)
 		}
-		cell.ctrlOps += uint64(n)
 	}
 	fill(0, 70_000, 1_000)
 	fill(0, 2_000, 2_000_000)
@@ -392,5 +399,13 @@ func TestControllerMeasureP99(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { s.ctrl.measure(0, q) }); allocs != 0 {
 		t.Errorf("p99_ns measurement allocates %v per control step, want 0", allocs)
+	}
+	s.ctrl.reset()
+	if v, ok := s.ctrl.measure(0, q); ok {
+		t.Fatalf("interval after a reset measured %v with nothing served", v)
+	}
+	fill(1, 100, 3_000)
+	if v, ok := s.ctrl.measure(0, q); !ok || math.Abs(v-3e3) > 3e3/128 {
+		t.Fatalf("interval after a reset measured p99 = %v (ok=%v), want 3us within 1/128", v, ok)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/device"
 	"repro/internal/fpga"
 )
 
@@ -94,74 +93,3 @@ func (c DeviceConfig) Validate() error {
 	}
 	return nil
 }
-
-// deviceResult is one request's timing through a partition's device model.
-type deviceResult struct {
-	// doneNs is the completion time on the partition clock; linkNs and devNs
-	// are the CXL round-trip and device-internal components of the service.
-	doneNs, linkNs, devNs int64
-	// busyNs is policy-engine busy time this request accounted for (flat
-	// timing only; the dataflow timeline tracks busy cycles itself).
-	busyNs int64
-	// queueDepth/stalled report the outstanding-window view at arrival
-	// (dataflow timing only).
-	queueDepth int
-	stalled    bool
-}
-
-// deviceModel is a partition's timing backend. Implementations are
-// partition-local (one per partition, touched only by the shard draining it)
-// and must be deterministic functions of the request sequence.
-type deviceModel interface {
-	// hostRoute reports whether the page is host-DRAM resident — served
-	// locally, bypassing the cache and the device — and its latency.
-	hostRoute(page uint64) (int64, bool)
-	// serveReq times one device-routed request given its arrival time and
-	// the partition clock (the completion time of the previous request).
-	serveReq(page uint64, out device.Outcome, arrivalNs, nowNs int64) deviceResult
-	// timeline exposes the dataflow cursor state for checkpointing and
-	// utilization metrics; nil under flat timing.
-	timeline() *fpga.DeviceTimeline
-}
-
-// flatModel adapts device.Flat to the partition serving loop: the partition
-// is a single server, so a request starts at its arrival time or when the
-// previous request completed, whichever is later.
-type flatModel struct {
-	flat device.Flat
-}
-
-func (m *flatModel) hostRoute(uint64) (int64, bool) { return 0, false }
-
-func (m *flatModel) serveReq(page uint64, out device.Outcome, arrivalNs, nowNs int64) deviceResult {
-	start := arrivalNs
-	if nowNs > start {
-		start = nowNs
-	}
-	rt, dev, busy := m.flat.Serve(page, out, start)
-	return deviceResult{doneNs: start + rt + dev, linkNs: rt, devNs: dev, busyNs: busy}
-}
-
-func (m *flatModel) timeline() *fpga.DeviceTimeline { return nil }
-
-// dataflowModel adapts device.Dataflow: queueing lives in the timeline's
-// module cursors and outstanding window, so requests enter at their arrival
-// time and the partition clock only records the latest completion.
-type dataflowModel struct {
-	df device.Dataflow
-}
-
-func (m *dataflowModel) hostRoute(page uint64) (int64, bool) { return m.df.HostRoute(page) }
-
-func (m *dataflowModel) serveReq(page uint64, out device.Outcome, arrivalNs, _ int64) deviceResult {
-	r := m.df.Serve(page, out, arrivalNs)
-	return deviceResult{
-		doneNs:     r.DoneNs,
-		linkNs:     r.LinkNs,
-		devNs:      r.DevNs,
-		queueDepth: r.QueueDepth,
-		stalled:    r.Stalled,
-	}
-}
-
-func (m *dataflowModel) timeline() *fpga.DeviceTimeline { return m.df.Timeline }

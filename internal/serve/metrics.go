@@ -125,8 +125,6 @@ func (s *Snapshot) HitRatio() float64 { return s.Cache.HitRate() }
 // aggregate view. Safe to call between batches, never concurrently with Run
 // or with another Snapshot: it merges into the service's reused histograms.
 func (s *Service) Snapshot() *Snapshot {
-	agg := &s.snapHists[0]
-	agg.Reset()
 	snap := &Snapshot{
 		Batches:         s.batches,
 		Refreshes:       s.refresher.installed,
@@ -138,8 +136,8 @@ func (s *Service) Snapshot() *Snapshot {
 	for i, p := range s.parts {
 		cs := p.cache.Stats()
 		ds := p.dev.Stats()
-		agg.Merge(p.hist)
-		snap.Ops += p.ops
+		ops := uint64(p.hist.Count())
+		snap.Ops += ops
 		snap.Cache.Hits += cs.Hits
 		snap.Cache.Misses += cs.Misses
 		snap.Cache.Bypasses += cs.Bypasses
@@ -153,7 +151,7 @@ func (s *Service) Snapshot() *Snapshot {
 		}
 		ps := PartitionSnapshot{
 			Partition:        i,
-			Ops:              p.ops,
+			Ops:              ops,
 			Cache:            cs,
 			SSD:              ds,
 			Link:             p.link.Stats(),
@@ -161,15 +159,15 @@ func (s *Service) Snapshot() *Snapshot {
 			EngineBusy:       time.Duration(p.engineBusy),
 			LastCompletionNs: p.now,
 			HostOps:          p.hostOps,
-			DeviceOps:        p.dfOps,
 			Stalls:           p.dfStalls,
 		}
-		if p.dfOps > 0 {
-			ps.QueueDepthMean = float64(p.dfQueueSum) / float64(p.dfOps)
-		}
-		if tl := p.model.timeline(); tl != nil {
-			if wall := tl.WallCycles(); wall > 0 {
-				gmmB, ssdB, ctrlB, _ := tl.Busy()
+		if p.df != nil {
+			ps.DeviceOps = ops - p.hostOps
+			if ps.DeviceOps > 0 {
+				ps.QueueDepthMean = float64(p.queueSum()) / float64(ps.DeviceOps)
+			}
+			if wall := p.df.Timeline.WallCycles(); wall > 0 {
+				gmmB, ssdB, ctrlB, _ := p.df.Timeline.Busy()
 				ps.GMMBusyRatio = float64(gmmB) / float64(wall)
 				ps.SSDBusyRatio = float64(ssdB) / float64(wall)
 				ps.CtrlBusyRatio = float64(ctrlB) / float64(wall)
@@ -177,38 +175,54 @@ func (s *Service) Snapshot() *Snapshot {
 		}
 		snap.Partitions[i] = ps
 	}
+	// Every request belongs to exactly one tenant, so the merge of the tenant
+	// sojourn histograms is the run's latency distribution.
+	agg := &s.snapHists[0]
+	agg.Reset()
+	snap.Tenants = s.tenantSnapshots(agg)
 	snap.Latency = agg.Summarize()
 	if snap.MakespanNs > 0 {
 		snap.Throughput = float64(snap.Ops) / (float64(snap.MakespanNs) / 1e9)
 	}
 	snap.IntervalThroughputMean = s.intervalThroughput.Mean()
 	snap.IntervalThroughputStd = s.intervalThroughput.Std()
-	snap.Tenants = s.tenantSnapshots()
 	return snap
 }
 
-// tenantCounters sums tenant ti's accounting counters across partitions —
-// the single O(partitions) merge behind both the periodic tenant-interval
-// records and the final snapshots, so the two can never drift apart.
-func (s *Service) tenantCounters(ti int) (ops, hits, bytesAdmitted, resident uint64) {
-	for _, p := range s.parts {
-		cell := &p.ten[ti]
-		ops += cell.ops
-		hits += cell.hits
-		bytesAdmitted += cell.bytesAdmitted
-		resident += uint64(p.pol.Resident(ti))
+// queueSum sums the partition's cells' cumulative queue depth.
+func (p *partition) queueSum() uint64 {
+	var q uint64
+	for ti := range p.ten {
+		q += p.ten[ti].queueSum
 	}
-	return ops, hits, bytesAdmitted, resident
+	return q
 }
 
-// tenantLatSum sums tenant ti's cumulative sojourn-time counter across
-// partitions — the exact integer sum behind the live side of the shadow
-// mean-latency deltas.
-func (s *Service) tenantLatSum(ti int) (latSumNs int64) {
+// tenantTotals sums tenant ti's accounting cells, in partition order — the
+// one merge behind the tenant-interval records, the final snapshots, the
+// shadow deltas, the controller's measurements and the closed-loop
+// feedback, so none of them can drift apart.
+func (s *Service) tenantTotals(ti int) totals {
+	var t totals
 	for _, p := range s.parts {
-		latSumNs += p.ten[ti].latSumNs
+		c := &p.ten[ti]
+		t.ops += uint64(c.hist.Count())
+		t.hits += c.hits
+		t.bytesAdmitted += c.bytesAdmitted
+		t.queueSum += c.queueSum
+		t.latSumNs += c.hist.Sum()
 	}
-	return latSumNs
+	return t
+}
+
+// tenantBlocks sums tenant ti's resident blocks and block budget across
+// partitions.
+func (s *Service) tenantBlocks(ti int) (resident, budget uint64) {
+	for _, p := range s.parts {
+		resident += uint64(p.pol.Resident(ti))
+		budget += uint64(p.pol.Budget(ti))
+	}
+	return resident, budget
 }
 
 // shadowCounters sums tenant ti's shadow accounting cells across partitions.
@@ -227,8 +241,9 @@ func (s *Service) shadowCounters(ti int) (ops, hits uint64, latSumNs int64) {
 }
 
 // tenantSnapshots merges per-(partition, tenant) accounting cells, in
-// partition order within each tenant, into one TenantSnapshot per tenant.
-func (s *Service) tenantSnapshots() []TenantSnapshot {
+// partition order within each tenant, into one TenantSnapshot per tenant,
+// and merges each tenant's sojourn histogram into agg.
+func (s *Service) tenantSnapshots(agg *stats.Histogram) []TenantSnapshot {
 	out := make([]TenantSnapshot, len(s.tenants))
 	for ti, t := range s.tenants {
 		hist, cxlH, hbmH, ssdH := &s.snapHists[1], &s.snapHists[2], &s.snapHists[3], &s.snapHists[4]
@@ -236,24 +251,28 @@ func (s *Service) tenantSnapshots() []TenantSnapshot {
 		cxlH.Reset()
 		hbmH.Reset()
 		ssdH.Reset()
+		tot := s.tenantTotals(ti)
 		ts := TenantSnapshot{
-			Tenant:    t.spec.Name,
-			Threshold: t.threshold,
-			Mult:      t.mult,
-			QoS:       t.spec.QoS,
-			QoSValue:  t.lastMetric,
-			WithinQoS: t.lastWithin,
-			QoSValid:  t.lastValid,
+			Tenant:        t.spec.Name,
+			Ops:           tot.ops,
+			Hits:          tot.hits,
+			BytesAdmitted: tot.bytesAdmitted,
+			Threshold:     t.threshold,
+			Mult:          t.mult,
+			QoS:           t.spec.QoS,
+			QoSValue:      t.lastMetric,
+			WithinQoS:     t.lastWithin,
+			QoSValid:      t.lastValid,
 		}
-		ts.Ops, ts.Hits, ts.BytesAdmitted, ts.ResidentBlocks = s.tenantCounters(ti)
+		ts.ResidentBlocks, ts.BudgetBlocks = s.tenantBlocks(ti)
 		for _, p := range s.parts {
 			cell := &p.ten[ti]
-			ts.BudgetBlocks += uint64(p.pol.Budget(ti))
 			hist.Merge(cell.hist)
 			cxlH.Merge(cell.cxlHist)
 			hbmH.Merge(cell.hbmHist)
 			ssdH.Merge(cell.ssdHist)
 		}
+		agg.Merge(hist)
 		var shadowLat int64
 		ts.ShadowOps, ts.ShadowHits, shadowLat = s.shadowCounters(ti)
 		if ts.ShadowOps > 0 {
@@ -389,15 +408,14 @@ func (m *metricsWriter) writeRefresh(batch, installed uint64, threshold float64)
 // Write errors stick in the metricsWriter and are surfaced by processBatch.
 func (s *Service) emitInterval(batchHitRatio float64) {
 	var ops, hits, misses, bypasses uint64
-	var latSum, latCount, makespan int64
+	var latSum, makespan int64
 	for _, p := range s.parts {
 		cs := p.cache.Stats()
 		hits += cs.Hits
 		misses += cs.Misses
 		bypasses += cs.Bypasses
-		ops += p.ops
+		ops += uint64(p.hist.Count())
 		latSum += p.hist.Sum()
-		latCount += p.hist.Count()
 		if p.now > makespan {
 			makespan = p.now
 		}
@@ -409,8 +427,8 @@ func (s *Service) emitInterval(batchHitRatio float64) {
 	if makespan > 0 {
 		throughput = float64(ops) / (float64(makespan) / 1e9)
 	}
-	if latCount > 0 {
-		mean = float64(latSum) / float64(latCount)
+	if ops > 0 {
+		mean = float64(latSum) / float64(ops)
 	}
 	if makespan > s.lastMakespan {
 		dOps := ops - s.lastIntervalOps
@@ -441,24 +459,21 @@ func (s *Service) emitInterval(batchHitRatio float64) {
 	// O(partitions) counter sums, no histogram merges.
 	if len(s.cfg.Tenants) > 0 {
 		for ti, t := range s.tenants {
-			tOps, tHits, tBytes, tResident := s.tenantCounters(ti)
+			tot := s.tenantTotals(ti)
 			hr := 0.0
-			if tOps > 0 {
-				hr = float64(tHits) / float64(tOps)
+			if tot.ops > 0 {
+				hr = float64(tot.hits) / float64(tot.ops)
 			}
-			var tBudget uint64
-			for _, p := range s.parts {
-				tBudget += uint64(p.pol.Budget(ti))
-			}
+			resident, budget := s.tenantBlocks(ti)
 			trec := metricRecord{
 				Kind:           "tenant-interval",
 				Batch:          s.batches,
 				Tenant:         t.spec.Name,
-				Ops:            tOps,
+				Ops:            tot.ops,
 				HitRatio:       hr,
-				BytesAdmitted:  tBytes,
-				ResidentBlocks: tResident,
-				BudgetBlocks:   tBudget,
+				BytesAdmitted:  tot.bytesAdmitted,
+				ResidentBlocks: resident,
+				BudgetBlocks:   budget,
 				Threshold:      t.threshold,
 				Mult:           t.mult,
 			}
@@ -470,8 +485,8 @@ func (s *Service) emitInterval(batchHitRatio float64) {
 					trec.ShadowHitRatio = &shr
 					trec.ShadowHitDelta = &delta
 					trec.ShadowMeanNs = &smean
-					if tOps > 0 {
-						dmean := smean - s.tenantLatSum(ti)/int64(tOps)
+					if tot.ops > 0 {
+						dmean := smean - tot.latSumNs/int64(tot.ops)
 						trec.ShadowMeanDeltaNs = &dmean
 					}
 					if math.Abs(delta) > s.cfg.Shadow.Divergence {
@@ -499,10 +514,10 @@ func (s *Service) addShadowInterval(rec *metricRecord) {
 		sOps += o
 		sHits += h
 		sLat += l
-		to, th, _, _ := s.tenantCounters(ti)
-		lOps += to
-		lHits += th
-		lLat += s.tenantLatSum(ti)
+		tot := s.tenantTotals(ti)
+		lOps += tot.ops
+		lHits += tot.hits
+		lLat += tot.latSumNs
 	}
 	if sOps == 0 {
 		return
@@ -533,16 +548,14 @@ func (s *Service) addDataflowInterval(rec *metricRecord) {
 	var qsum, dops, stalls uint64
 	var gmmB, ssdB, ctrlB, wall int64
 	for _, p := range s.parts {
-		qsum += p.dfQueueSum
-		dops += p.dfOps
+		qsum += p.queueSum()
+		dops += uint64(p.hist.Count()) - p.hostOps
 		stalls += p.dfStalls
-		if tl := p.model.timeline(); tl != nil {
-			g, sd, c, _ := tl.Busy()
-			gmmB += g
-			ssdB += sd
-			ctrlB += c
-			wall += tl.WallCycles()
-		}
+		g, sd, c, _ := p.df.Timeline.Busy()
+		gmmB += g
+		ssdB += sd
+		ctrlB += c
+		wall += p.df.Timeline.WallCycles()
 	}
 	dQ := qsum - s.lastDFQueueSum
 	dOps := dops - s.lastDFOps

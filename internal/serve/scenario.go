@@ -39,8 +39,7 @@ func (s *Session) initScenario() {
 	s.diurnal = make([]diurnalState, len(s.spec.Tenants))
 	if s.spec.Clients != nil {
 		s.closedLoop = true
-		s.fbLatSum = make([]int64, len(s.spec.Tenants))
-		s.fbOps = make([]uint64, len(s.spec.Tenants))
+		s.fbMarks = make([]totals, len(s.spec.Tenants))
 	}
 }
 
@@ -284,42 +283,31 @@ func (s *Session) replayScenario() error {
 
 // feedbackLatency closes the loop between served latency and client arrival
 // pacing: after each batch, every tenant's latency delta over the batch
-// (cumulative sojourn and op counters against the session's cursors) is
-// folded into its closed-loop stream's completion estimate. No-op for
-// open-loop runs.
+// (its cumulative totals against the session's feedback marks) is folded
+// into its closed-loop stream's completion estimate. No-op for open-loop
+// runs.
 func (s *Session) feedbackLatency() {
 	if !s.closedLoop {
 		return
 	}
-	for ti := range s.fbOps {
-		lat, ops := s.tenantTotals(ti)
-		if dOps := ops - s.fbOps[ti]; dOps > 0 {
-			s.mux.ObserveLatency(ti, float64(lat-s.fbLatSum[ti])/float64(dOps))
+	for ti, mark := range s.fbMarks {
+		now := s.svc.tenantTotals(ti)
+		if dOps := now.ops - mark.ops; dOps > 0 {
+			s.mux.ObserveLatency(ti, float64(now.latSumNs-mark.latSumNs)/float64(dOps))
 		}
-		s.fbLatSum[ti], s.fbOps[ti] = lat, ops
+		s.fbMarks[ti] = now
 	}
 }
 
-// syncFeedbackCursors aligns the feedback cursors with the current
-// cumulative counters without observing anything — a resumed session starts
-// from the checkpointed totals (the latency estimate itself rides in the
-// closed-loop stream's own state).
+// syncFeedbackCursors aligns the feedback marks with the current cumulative
+// totals without observing anything — a resumed session starts from the
+// checkpointed totals (the latency estimate itself rides in the closed-loop
+// stream's own state).
 func (s *Session) syncFeedbackCursors() {
 	if !s.closedLoop {
 		return
 	}
-	for ti := range s.fbOps {
-		s.fbLatSum[ti], s.fbOps[ti] = s.tenantTotals(ti)
+	for ti := range s.fbMarks {
+		s.fbMarks[ti] = s.svc.tenantTotals(ti)
 	}
-}
-
-// tenantTotals sums tenant ti's cumulative sojourn and op counters across
-// partitions, in partition order.
-func (s *Session) tenantTotals(ti int) (latSumNs int64, ops uint64) {
-	for _, p := range s.svc.parts {
-		cell := &p.ten[ti]
-		latSumNs += cell.latSumNs
-		ops += cell.ops
-	}
-	return latSumNs, ops
 }

@@ -216,8 +216,8 @@ func TestDrainBatchSteadyStateAllocs(t *testing.T) {
 				fill()
 				p.drainBatch(b)
 			}
-			if p.batchHits == 0 || p.batchHits == p.batchOps {
-				t.Fatalf("warm-up traffic not mixed: %d hits / %d ops", p.batchHits, p.batchOps)
+			if hits, ops := p.ten[0].hits, uint64(p.hist.Count()); hits == 0 || hits == ops {
+				t.Fatalf("warm-up traffic not mixed: %d hits / %d ops", hits, ops)
 			}
 			var inferences uint64
 			if p.shadow != nil {
@@ -318,7 +318,7 @@ func TestScoresOnlyMisses(t *testing.T) {
 			}
 			var ops, hostOps, misses, evictions uint64
 			for _, p := range svc.parts {
-				ops += p.ops
+				ops += uint64(p.hist.Count())
 				hostOps += p.hostOps
 				st := p.cache.Stats()
 				misses += st.Misses

@@ -346,11 +346,12 @@ type partition struct {
 	dev   *ssd.Device
 	link  *cxl.Link
 
-	// model is the timing backend every request is served through; timing
-	// names which kind it is (flat gates requests on the partition clock,
-	// dataflow queues them in the fpga timeline).
-	model  deviceModel
-	timing TimingKind
+	// flat and df are the timing backend every request is served through;
+	// exactly one is non-nil. Flat gates requests on the partition clock,
+	// dataflow queues them in the fpga timeline and routes host-resident
+	// pages around the device.
+	flat *device.Flat
+	df   *device.Dataflow
 
 	// shadow, when non-nil, is the partition's shadow cache + policy
 	// (Config.Shadow); it replays the batch after the live drain.
@@ -358,20 +359,20 @@ type partition struct {
 
 	now        int64 // completion time of the last request served here
 	engineBusy int64
-	ops        uint64
-	hist       *stats.Histogram
-	ten        []tenantPartStats // per-tenant accounting cells
+	// hist is the partition's sojourn histogram: by construction the merge
+	// of its cells' hist, so its Count is the partition's op count. It is
+	// kept, not merged from the cells on demand, because Snapshot writes a
+	// record per partition: a merge of every cell per partition at every
+	// snapshot measurably slowed snapshots (EXPERIMENTS.md, "Cumulative
+	// accounting cells").
+	hist *stats.Histogram
+	ten  []tenantPartStats // per-tenant accounting cells
 
 	// Dataflow accounting (zero under flat timing): requests routed to host
-	// DRAM, device-routed requests, the summed outstanding-window depth
-	// those observed at arrival, and how many of them stalled on a full
-	// window.
-	hostOps    uint64
-	dfOps      uint64
-	dfQueueSum uint64
-	dfStalls   uint64
-
-	batchOps, batchHits uint64
+	// DRAM, and device-routed requests that stalled on a full outstanding
+	// window. Device-routed ops are hist.Count() - hostOps.
+	hostOps  uint64
+	dfStalls uint64
 
 	queue []scoredReq
 	// bundle is the scoring bundle of the batch being drained, loaded once
@@ -466,12 +467,6 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	hasQoS := false
-	for _, ts := range specs {
-		if ts.QoS != nil {
-			hasQoS = true
-		}
-	}
 	parts := make([]*partition, cfg.Partitions)
 	for i := range parts {
 		// The policy scores each miss through its partition's scoreMiss,
@@ -496,29 +491,7 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 		}
 		ten := make([]tenantPartStats, len(specs))
 		for t := range ten {
-			ten[t] = newTenantPartStats(hasQoS)
-		}
-		var model deviceModel
-		switch cfg.Device.Timing {
-		case TimingDataflow:
-			tl, err := fpga.NewDeviceTimeline(cfg.Device.Dataflow)
-			if err != nil {
-				return nil, err
-			}
-			model = &dataflowModel{df: device.Dataflow{
-				Link:      link,
-				Timeline:  tl,
-				HostPages: cfg.Device.HostPages,
-				HostLatNs: cfg.Device.HostLatencyNs,
-			}}
-		default:
-			model = &flatModel{flat: device.Flat{
-				Mem:        mem,
-				Dev:        dev,
-				Link:       link,
-				OverheadNs: cfg.GMMInference.Nanoseconds(),
-				Overlap:    cfg.Overlap,
-			}}
+			ten[t] = newTenantPartStats(specs[t])
 		}
 		var shadow *shadowPart
 		if cfg.Shadow != nil {
@@ -532,11 +505,30 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 			mem:    mem,
 			dev:    dev,
 			link:   link,
-			model:  model,
-			timing: cfg.Device.Timing,
 			shadow: shadow,
 			hist:   stats.DefaultLatencyHistogram(),
 			ten:    ten,
+		}
+		switch cfg.Device.Timing {
+		case TimingDataflow:
+			tl, err := fpga.NewDeviceTimeline(cfg.Device.Dataflow)
+			if err != nil {
+				return nil, err
+			}
+			p.df = &device.Dataflow{
+				Link:      link,
+				Timeline:  tl,
+				HostPages: cfg.Device.HostPages,
+				HostLatNs: cfg.Device.HostLatencyNs,
+			}
+		default:
+			p.flat = &device.Flat{
+				Mem:        mem,
+				Dev:        dev,
+				Link:       link,
+				OverheadNs: cfg.GMMInference.Nanoseconds(),
+				Overlap:    cfg.Overlap,
+			}
 		}
 		pol.bindCache(c)
 		pol.bindScorer(p.scoreMiss)
@@ -698,6 +690,7 @@ func (s *Service) processBatch(batch []Request) error {
 		p.queue = append(p.queue, scoredReq{req: batch[i], ts: ts})
 		s.seq++
 	}
+	hitsBefore := s.hitsServed()
 	if err := engine.ForEach(s.runner, s.parts, func(_ int, p *partition) error {
 		p.drainBatch(b)
 		return nil
@@ -705,16 +698,12 @@ func (s *Service) processBatch(batch []Request) error {
 		return err
 	}
 
-	var ops, hits uint64
-	for _, p := range s.parts {
-		ops += p.batchOps
-		hits += p.batchHits
-		p.batchOps, p.batchHits = 0, 0
-	}
 	s.batches++
+	// The drift detector's input: the batch's hits, as the growth of the
+	// cells' cumulative hit counts over the drain.
 	hitRatio := 0.0
-	if ops > 0 {
-		hitRatio = float64(hits) / float64(ops)
+	if len(batch) > 0 {
+		hitRatio = float64(s.hitsServed()-hitsBefore) / float64(len(batch))
 	}
 	s.refresher.observe(hitRatio)
 
@@ -746,7 +735,7 @@ func (p *partition) drainBatch(b *Bundle) {
 		// Host-routed pages never reached the live cache, so the shadow skips
 		// them too (hostRoute is a pure function of the page).
 		for _, sr := range p.queue {
-			if _, ok := p.model.hostRoute(sr.req.Page); ok {
+			if _, ok := p.hostRoute(sr.req.Page); ok {
 				continue
 			}
 			p.shadow.serve(sr.req)
@@ -766,6 +755,27 @@ func (p *partition) scoreMiss(page uint64) float64 {
 	return p.missScore[0]
 }
 
+// hitsServed sums every cell's cumulative hit count.
+func (s *Service) hitsServed() uint64 {
+	var hits uint64
+	for _, p := range s.parts {
+		for ti := range p.ten {
+			hits += p.ten[ti].hits
+		}
+	}
+	return hits
+}
+
+// hostRoute reports whether the page is host-DRAM resident — served
+// locally, bypassing the cache and the device — and its latency. Only
+// dataflow timing routes pages to the host.
+func (p *partition) hostRoute(page uint64) (int64, bool) {
+	if p.df == nil {
+		return 0, false
+	}
+	return p.df.HostRoute(page)
+}
+
 // serveOne routes one request through the partition's device model. Pages
 // the model routes to host DRAM (dataflow timing with host-resident pages)
 // are served locally — no policy, no cache, no link — and counted as hits.
@@ -773,30 +783,25 @@ func (p *partition) scoreMiss(page uint64) float64 {
 // access: under flat timing the partition is a single server (a request
 // begins at its arrival time or when the previous request here completed,
 // whichever is later); under dataflow timing queueing lives in the fpga
-// timeline's module cursors and outstanding window. Either way the recorded
-// latency is the sojourn time (queueing plus service). timestamp is the
-// request's Algorithm 1 timestamp, staged for scoreMiss.
+// timeline's module cursors and outstanding window, so a request enters at
+// its arrival time. Either way the recorded latency is the sojourn time
+// (queueing plus service). timestamp is the request's Algorithm 1
+// timestamp, staged for scoreMiss. The request is recorded once, in its
+// tenant's cell (and the partition histogram that merges the cells).
 func (p *partition) serveOne(req Request, timestamp int) {
-	if lat, ok := p.model.hostRoute(req.Page); ok {
+	ts := &p.ten[req.Tenant]
+	if lat, ok := p.hostRoute(req.Page); ok {
 		done := req.ArrivalNs + lat
 		if done > p.now {
 			p.now = done
 		}
 		p.hostOps++
-		p.ops++
-		p.batchOps++
-		p.batchHits++
 		p.hist.Observe(lat)
-		ts := &p.ten[req.Tenant]
-		ts.ops++
-		ts.ctrlOps++
 		ts.hits++
-		ts.ctrlHits++
-		ts.latSumNs += lat
 		ts.hist.Observe(lat)
 		ts.hbmHist.Observe(lat)
-		if ts.ctrlHist != nil {
-			ts.ctrlHist.Observe(lat)
+		if ts.intervalHist != nil {
+			ts.intervalHist.Observe(lat)
 		}
 		return
 	}
@@ -804,46 +809,44 @@ func (p *partition) serveOne(req Request, timestamp int) {
 	p.curTS = timestamp
 	p.pol.Begin(req.Tenant)
 	res := p.cache.Access(req.Page, req.Write)
-	r := p.model.serveReq(req.Page, device.OutcomeOf(res, req.Write), req.ArrivalNs, p.now)
-	p.engineBusy += r.busyNs
-	if r.doneNs > p.now {
-		p.now = r.doneNs
-	}
-	sojourn := r.doneNs - req.ArrivalNs
-	p.hist.Observe(sojourn)
-	p.ops++
-	p.batchOps++
-	if res.Hit {
-		p.batchHits++
-	}
-	if p.timing == TimingDataflow {
-		p.dfOps++
-		p.dfQueueSum += uint64(r.queueDepth)
-		if r.stalled {
+	out := device.OutcomeOf(res, req.Write)
+	// linkNs and devNs are the CXL round-trip and device-internal
+	// components of the service.
+	var done, linkNs, devNs int64
+	if p.df != nil {
+		r := p.df.Serve(req.Page, out, req.ArrivalNs)
+		done, linkNs, devNs = r.DoneNs, r.LinkNs, r.DevNs
+		ts.queueSum += uint64(r.QueueDepth)
+		if r.Stalled {
 			p.dfStalls++
 		}
+	} else {
+		start := max(req.ArrivalNs, p.now)
+		var busy int64
+		linkNs, devNs, busy = p.flat.Serve(req.Page, out, start)
+		done = start + linkNs + devNs
+		p.engineBusy += busy
 	}
+	if done > p.now {
+		p.now = done
+	}
+	sojourn := done - req.ArrivalNs
+	p.hist.Observe(sojourn)
 
 	// Per-tenant accounting: sojourn plus the cxl/hbm/ssd components, split
 	// by where the device time was spent.
-	ts := &p.ten[req.Tenant]
-	ts.ops++
-	ts.ctrlOps++
-	ts.ctrlQueueSum += uint64(r.queueDepth)
-	ts.latSumNs += sojourn
 	ts.hist.Observe(sojourn)
-	ts.cxlHist.Observe(r.linkNs)
+	ts.cxlHist.Observe(linkNs)
 	if res.Hit {
 		ts.hits++
-		ts.ctrlHits++
-		ts.hbmHist.Observe(r.devNs)
+		ts.hbmHist.Observe(devNs)
 	} else {
-		ts.ssdHist.Observe(r.devNs)
+		ts.ssdHist.Observe(devNs)
 	}
 	if res.Admitted {
 		ts.bytesAdmitted += trace.PageSize
 	}
-	if ts.ctrlHist != nil {
-		ts.ctrlHist.Observe(sojourn)
+	if ts.intervalHist != nil {
+		ts.intervalHist.Observe(sojourn)
 	}
 }

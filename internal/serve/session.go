@@ -52,13 +52,12 @@ type Session struct {
 
 	// Scenario runtime (tenant runs only): the event-timeline cursor, the
 	// tenant name index, per-tenant diurnal profiles, and — under clients
-	// mode — the closed-loop latency feedback cursors.
+	// mode — each tenant's totals at the last latency feedback.
 	timeline   *scenario.Timeline
 	tenantIdx  map[string]int
 	diurnal    []diurnalState
 	closedLoop bool
-	fbLatSum   []int64
-	fbOps      []uint64
+	fbMarks    []totals
 }
 
 // Open validates the spec, runs initial training on the warm-up trace it

@@ -144,16 +144,48 @@ func smallSessionSpec(t testing.TB) serve.Spec {
 	return spec
 }
 
+// latencySessionSpec is smallSessionSpec with latency targets: tenant a
+// holds a mean_ns ceiling and tenant b a p99_ns ceiling, stepped every 3
+// batches, so most batch boundaries fall inside a control interval. A
+// checkpoint there must carry the controller's marks and b's interval
+// histograms for the resumed run to measure the rest of the interval.
+func latencySessionSpec(t testing.TB) serve.Spec {
+	t.Helper()
+	spec := smallSessionSpec(t)
+	spec.Control.Every = 3
+	spec.Tenants[0].QoS = &serve.QoSSpec{Metric: serve.QoSMeanNs, Target: 800_000, Band: 0.1}
+	spec.Tenants[1].QoS = &serve.QoSSpec{Metric: serve.QoSP99Ns, Target: 8_000_000, Band: 0.1}
+	return spec
+}
+
 // TestSessionCheckpointEveryBoundary is the resume property test: one
 // uninterrupted run is checkpointed at EVERY batch boundary (including
 // batch 0 and the final boundary), every checkpoint is resumed to
 // completion, and each resumed JSONL — concatenated after the bytes the
 // paused run had emitted — must equal the uninterrupted stream, with a
 // deep-equal final snapshot. Checkpointing is non-destructive, so one live
-// session provides all the boundaries.
+// session provides all the boundaries. The hit_ratio spec steps its
+// controller every 2 batches; the latency spec every 3, with a p99_ns
+// tenant whose interval histograms ride through the checkpoint.
 func TestSessionCheckpointEveryBoundary(t *testing.T) {
 	t.Parallel()
-	spec := smallSessionSpec(t)
+	for _, tc := range []struct {
+		name string
+		spec func(testing.TB) serve.Spec
+	}{
+		{"hit_ratio", smallSessionSpec},
+		{"latency", latencySessionSpec},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			checkpointEveryBoundary(t, tc.spec(t))
+		})
+	}
+}
+
+// checkpointEveryBoundary is TestSessionCheckpointEveryBoundary's body for
+// one 16-batch spec.
+func checkpointEveryBoundary(t *testing.T, spec serve.Spec) {
 	var full bytes.Buffer
 	sess, err := serve.Open(spec, &full)
 	if err != nil {
@@ -464,6 +496,11 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 			src["open_loop"] = map[string]any{"seg": 1.0, "pos": 0.0, "emitted": 0.0, "clock_ns": 0.0}
 			delete(src, "mux")
 		},
+		"interval histogram for a hit_ratio tenant": func(doc map[string]any) {
+			p := state(doc)["partitions"].([]any)[0].(map[string]any)
+			cell := p["tenants"].([]any)[0].(map[string]any)
+			cell["interval_hist"] = map[string]any{}
+		},
 		"cache set count": func(doc map[string]any) {
 			p := state(doc)["partitions"].([]any)[0].(map[string]any)
 			c := p["cache"].(map[string]any)
@@ -497,11 +534,16 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		}
 	}
 
-	// A v1 document kept raw samples in every histogram. Decoding is not
-	// strict, so only its format stops it loading with the samples dropped.
-	v1 := tamper(t, func(doc map[string]any) { doc["format"] = "icgmm-session-v1" })
-	_, err = serve.Resume(bytes.NewReader(v1), nil)
-	if err == nil || !strings.Contains(err.Error(), `unknown checkpoint format "icgmm-session-v1"`) {
-		t.Errorf("v1 checkpoint: err = %v, want the unknown-format error", err)
+	// Decoding is not strict, so only its format stops an older document
+	// loading with fields silently dropped. A v1 document kept raw samples
+	// in every histogram. A v2 one kept per-interval control copies instead
+	// of marks, so it would resume with zero marks and queue sums and
+	// mis-measure the next control interval.
+	for _, old := range []string{"icgmm-session-v1", "icgmm-session-v2"} {
+		doc := tamper(t, func(doc map[string]any) { doc["format"] = old })
+		_, err = serve.Resume(bytes.NewReader(doc), nil)
+		if err == nil || !strings.Contains(err.Error(), `unknown checkpoint format "`+old+`"`) {
+			t.Errorf("%s checkpoint: err = %v, want the unknown-format error", old, err)
+		}
 	}
 }

@@ -698,44 +698,53 @@ func (p *tenantGMM) checkShares() error {
 	return nil
 }
 
-// tenantPartStats is one (partition, tenant) accounting cell. Touched only
-// by the shard draining the partition, merged in partition order at
+// tenantPartStats is one (partition, tenant) accounting cell, the only
+// per-request record the service keeps: every other view of served traffic
+// (partition, tenant and run totals, batch and control-interval measurements)
+// is a merge of cells or a delta of their cumulative totals. The one other
+// per-request histogram, partition.hist, is by construction the merge of its
+// partition's cell sojourn histograms (see there for why it is kept). Touched
+// only by the shard draining the partition, merged in partition order at
 // reporting boundaries — the same determinism decomposition as the partition
 // itself.
 type tenantPartStats struct {
-	ops           uint64
 	hits          uint64
 	bytesAdmitted uint64
-	// latSumNs is the cumulative sojourn time of every request the tenant
-	// completed in this partition — the numerator of the tenant's mean
-	// latency, kept as an exact integer sum so the shadow bake-off's
-	// mean-latency deltas are reproducible (the histogram's mean would do,
-	// but an explicit sum keeps the accounting unambiguous).
-	latSumNs int64
-	hist     *stats.Histogram // sojourn time
-	cxlHist  *stats.Histogram // link round trip
-	hbmHist  *stats.Histogram // device time of hits
-	ssdHist  *stats.Histogram // device time of misses
-
-	// Control-interval state, reset by the controller after each step.
-	ctrlOps  uint64
-	ctrlHits uint64
-	// ctrlQueueSum sums the outstanding-window depth the tenant's requests
-	// observed at arrival (dataflow timing; always zero under flat), the
-	// numerator of the queue_depth QoS metric.
-	ctrlQueueSum uint64
-	ctrlHist     *stats.Histogram // sojourn, only allocated under a controller
+	// queueSum sums the outstanding-window depth the tenant's device-routed
+	// requests observed at arrival (dataflow timing; always zero under
+	// flat), the numerator of the queue_depth QoS metric.
+	queueSum uint64
+	// hist is the sojourn time. Its exact Count and Sum are the cell's op
+	// count and latency sum, so no counter repeats them.
+	hist    *stats.Histogram
+	cxlHist *stats.Histogram // link round trip
+	hbmHist *stats.Histogram // device time of hits
+	ssdHist *stats.Histogram // device time of misses
+	// intervalHist is the sojourn time over the current control interval,
+	// emptied at every control step. Only the cells of a p99_ns tenant have
+	// one: a percentile is the one interval measurement that is not a
+	// difference of cumulative totals.
+	intervalHist *stats.Histogram
 }
 
-func newTenantPartStats(withCtrlHist bool) tenantPartStats {
+// newTenantPartStats builds an empty cell for a tenant of the given spec.
+func newTenantPartStats(spec TenantSpec) tenantPartStats {
 	ts := tenantPartStats{
 		hist:    stats.DefaultLatencyHistogram(),
 		cxlHist: stats.DefaultLatencyHistogram(),
 		hbmHist: stats.DefaultLatencyHistogram(),
 		ssdHist: stats.DefaultLatencyHistogram(),
 	}
-	if withCtrlHist {
-		ts.ctrlHist = stats.DefaultLatencyHistogram()
+	if spec.QoS != nil && spec.QoS.Metric == QoSP99Ns {
+		ts.intervalHist = stats.DefaultLatencyHistogram()
 	}
 	return ts
+}
+
+// totals is one tenant's cumulative accounting, summed over its cells (see
+// Service.tenantTotals). A measurement over an interval is the difference
+// of the totals at its two ends (see tenantState.mark).
+type totals struct {
+	ops, hits, bytesAdmitted, queueSum uint64
+	latSumNs                           int64
 }

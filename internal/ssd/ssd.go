@@ -2,7 +2,8 @@
 // expanded memory space. The paper's FPGA prototype contains exactly such an
 // emulator inside the cache control engine (Sec. 4.2): on a cache miss the
 // dataflow pauses for a configured device response time. This package is a
-// faithful port of that emulator with added queueing and wear statistics.
+// faithful port of that emulator with added per-channel queueing and
+// read/write (wear) counters.
 package ssd
 
 import (
@@ -65,9 +66,6 @@ type Device struct {
 	channels []int64 // per-channel busy-until, virtual ns
 	reads    stats.Counter
 	writes   stats.Counter
-	readLat  stats.LatencyAccumulator
-	writeLat stats.LatencyAccumulator
-	queued   stats.LatencyAccumulator // queueing delay component
 }
 
 // New creates a device with the given profile and channel count.
@@ -100,18 +98,15 @@ func (d *Device) Access(op Op, page uint64, nowNs int64) (doneNs int64) {
 	if d.channels[ch] > start {
 		start = d.channels[ch]
 	}
-	d.queued.Observe(start - nowNs)
 
 	var service int64
 	switch op {
 	case OpWrite:
 		service = d.profile.WriteLatency.Nanoseconds()
 		d.writes.Inc()
-		d.writeLat.Observe(start + service - nowNs)
 	default:
 		service = d.profile.ReadLatency.Nanoseconds()
 		d.reads.Inc()
-		d.readLat.Observe(start + service - nowNs)
 	}
 	done := start + service
 	d.channels[ch] = done
@@ -119,15 +114,12 @@ func (d *Device) Access(op Op, page uint64, nowNs int64) (doneNs int64) {
 }
 
 // State is the device's full mutable state: per-channel busy horizons on
-// the virtual clock plus the accumulated counters. Part of the serving
+// the virtual clock plus the read and write counters. Part of the serving
 // subsystem's checkpoint surface.
 type State struct {
-	Channels []int64                `json:"channels"`
-	Reads    uint64                 `json:"reads"`
-	Writes   uint64                 `json:"writes"`
-	ReadLat  stats.AccumulatorState `json:"read_lat"`
-	WriteLat stats.AccumulatorState `json:"write_lat"`
-	Queued   stats.AccumulatorState `json:"queued"`
+	Channels []int64 `json:"channels"`
+	Reads    uint64  `json:"reads"`
+	Writes   uint64  `json:"writes"`
 }
 
 // State exports the device's mutable state.
@@ -136,9 +128,6 @@ func (d *Device) State() State {
 		Channels: append([]int64(nil), d.channels...),
 		Reads:    d.reads.Value(),
 		Writes:   d.writes.Value(),
-		ReadLat:  d.readLat.State(),
-		WriteLat: d.writeLat.State(),
-		Queued:   d.queued.State(),
 	}
 }
 
@@ -153,9 +142,6 @@ func (d *Device) RestoreState(s State) error {
 	d.reads.Add(s.Reads)
 	d.writes.Reset()
 	d.writes.Add(s.Writes)
-	d.readLat.RestoreState(s.ReadLat)
-	d.writeLat.RestoreState(s.WriteLat)
-	d.queued.RestoreState(s.Queued)
 	return nil
 }
 
@@ -168,19 +154,10 @@ func (d *Device) WritePenalty() int64 { return d.profile.WriteLatency.Nanosecond
 
 // Stats describes accumulated device activity.
 type Stats struct {
-	Reads, Writes     uint64
-	MeanReadLatency   time.Duration
-	MeanWriteLatency  time.Duration
-	MeanQueueingDelay time.Duration
+	Reads, Writes uint64
 }
 
 // Stats returns a snapshot of device counters.
 func (d *Device) Stats() Stats {
-	return Stats{
-		Reads:             d.reads.Value(),
-		Writes:            d.writes.Value(),
-		MeanReadLatency:   d.readLat.MeanDuration(),
-		MeanWriteLatency:  d.writeLat.MeanDuration(),
-		MeanQueueingDelay: d.queued.MeanDuration(),
-	}
+	return Stats{Reads: d.reads.Value(), Writes: d.writes.Value()}
 }

@@ -78,11 +78,6 @@ func (a *LatencyAccumulator) Observe(ns int64) {
 	a.count++
 }
 
-// ObserveDuration records one latency sample from a time.Duration.
-func (a *LatencyAccumulator) ObserveDuration(d time.Duration) {
-	a.Observe(d.Nanoseconds())
-}
-
 // Count returns the number of samples.
 func (a *LatencyAccumulator) Count() int64 { return a.count }
 
@@ -95,11 +90,6 @@ func (a *LatencyAccumulator) Mean() float64 {
 		return 0
 	}
 	return float64(a.sum) / float64(a.count)
-}
-
-// MeanDuration returns the mean as a time.Duration.
-func (a *LatencyAccumulator) MeanDuration() time.Duration {
-	return time.Duration(a.Mean())
 }
 
 // Min returns the smallest sample, or 0 with no samples.

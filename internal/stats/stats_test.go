@@ -52,10 +52,6 @@ func TestLatencyAccumulator(t *testing.T) {
 	if a.Min() != 10 || a.Max() != 30 {
 		t.Errorf("Min=%d Max=%d", a.Min(), a.Max())
 	}
-	a.ObserveDuration(100 * time.Nanosecond)
-	if a.Count() != 4 || a.Max() != 100 {
-		t.Error("ObserveDuration not recorded")
-	}
 }
 
 func TestLatencyAccumulatorFirstSampleIsMin(t *testing.T) {
@@ -224,7 +220,7 @@ func TestSeries(t *testing.T) {
 
 func TestWelford(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.Std() != 0 || w.StdErr() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 || w.Std() != 0 {
 		t.Error("empty Welford should report zeros")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -263,9 +259,6 @@ func TestWelfordSingleSample(t *testing.T) {
 	w.Observe(42)
 	if w.Mean() != 42 || w.Variance() != 0 {
 		t.Error("single sample stats wrong")
-	}
-	if w.StdErr() != 0 {
-		t.Error("single-sample StdErr should be 0")
 	}
 }
 

@@ -36,11 +36,3 @@ func (w *Welford) Variance() float64 {
 
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.Std() / math.Sqrt(float64(w.n))
-}

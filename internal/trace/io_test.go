@@ -167,9 +167,4 @@ func TestTraceHelpers(t *testing.T) {
 	if len(pages) != 2 {
 		t.Errorf("Pages = %d distinct, want 2", len(pages))
 	}
-	cl := tr.Clone()
-	cl[0].Addr = 999
-	if tr[0].Addr == 999 {
-		t.Error("Clone aliases original")
-	}
 }

@@ -72,10 +72,3 @@ func (t Trace) Pages() map[uint64]struct{} {
 	}
 	return set
 }
-
-// Clone returns a deep copy of the trace.
-func (t Trace) Clone() Trace {
-	out := make(Trace, len(t))
-	copy(out, t)
-	return out
-}

@@ -1,7 +1,5 @@
 package trace
 
-import "sort"
-
 // Stats summarizes a trace: volume, read/write mix, footprint, and reuse.
 type Stats struct {
 	Records     int
@@ -98,28 +96,4 @@ func TemporalScatter(t Trace, maxPoints int) (times []float64, pages []float64) 
 		pages = append(pages, float64(t[i].Page()))
 	}
 	return times, pages
-}
-
-// HotPages returns the n most frequently accessed pages in descending
-// frequency order, breaking ties by page index for determinism.
-func HotPages(t Trace, n int) []uint64 {
-	counts := make(map[uint64]int)
-	for _, r := range t {
-		counts[r.Page()]++
-	}
-	pages := make([]uint64, 0, len(counts))
-	for p := range counts {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool {
-		ci, cj := counts[pages[i]], counts[pages[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return pages[i] < pages[j]
-	})
-	if n < len(pages) {
-		pages = pages[:n]
-	}
-	return pages
 }

@@ -108,36 +108,3 @@ func TestTemporalScatterDegenerate(t *testing.T) {
 		t.Error("single record scatter wrong")
 	}
 }
-
-func TestHotPages(t *testing.T) {
-	var tr Trace
-	add := func(page uint64, n int) {
-		for i := 0; i < n; i++ {
-			tr = append(tr, Record{Addr: page * PageSize})
-		}
-	}
-	add(3, 10)
-	add(7, 20)
-	add(1, 5)
-	hot := HotPages(tr, 2)
-	if len(hot) != 2 || hot[0] != 7 || hot[1] != 3 {
-		t.Errorf("HotPages = %v, want [7 3]", hot)
-	}
-	all := HotPages(tr, 100)
-	if len(all) != 3 {
-		t.Errorf("HotPages clamp failed: %v", all)
-	}
-}
-
-func TestHotPagesDeterministicTieBreak(t *testing.T) {
-	tr := Trace{
-		{Addr: 5 * PageSize}, {Addr: 2 * PageSize}, {Addr: 9 * PageSize},
-	}
-	hot := HotPages(tr, 3)
-	want := []uint64{2, 5, 9}
-	for i := range want {
-		if hot[i] != want[i] {
-			t.Fatalf("HotPages = %v, want %v", hot, want)
-		}
-	}
-}

@@ -108,9 +108,6 @@ func (cl *ClosedLoop) SetGenerator(g Generator) { cl.inner.SetGenerator(g) }
 // Emitted returns how many requests have been produced so far.
 func (cl *ClosedLoop) Emitted() uint64 { return cl.inner.Emitted() }
 
-// LatencyEstimateNs returns the current completion-latency EWMA.
-func (cl *ClosedLoop) LatencyEstimateNs() float64 { return cl.latEstNs }
-
 // ObserveLatency folds one completion-latency observation (the mean sojourn
 // of the tenant's requests in the last batch, in nanoseconds) into the EWMA
 // that gates future arrivals. Called at batch boundaries on the ingest

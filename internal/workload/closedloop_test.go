@@ -81,15 +81,15 @@ func TestClosedLoopLatencyFeedbackStretchesArrivals(t *testing.T) {
 func TestClosedLoopObserveAndSetRate(t *testing.T) {
 	cl := newClosed(t, 2, 1000)
 	cl.ObserveLatency(1000)
-	if got := cl.LatencyEstimateNs(); got != 1000 {
+	if got := cl.State().LatEstNs; got != 1000 {
 		t.Fatalf("first observation EWMA = %v, want 1000", got)
 	}
 	cl.ObserveLatency(2000)
-	if got := cl.LatencyEstimateNs(); got != 0.2*2000+0.8*1000 {
+	if got := cl.State().LatEstNs; got != 0.2*2000+0.8*1000 {
 		t.Fatalf("second observation EWMA = %v", got)
 	}
 	cl.ObserveLatency(-5) // negative observations are dropped
-	if got := cl.LatencyEstimateNs(); got != 0.2*2000+0.8*1000 {
+	if got := cl.State().LatEstNs; got != 0.2*2000+0.8*1000 {
 		t.Fatalf("negative observation changed EWMA to %v", got)
 	}
 	cl.SetRate(2000)

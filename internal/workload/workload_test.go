@@ -2,10 +2,32 @@ package workload
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/trace"
 )
+
+// hotPages returns the n most frequently accessed pages in descending
+// frequency order, breaking ties by page index for determinism.
+func hotPages(t trace.Trace, n int) []uint64 {
+	counts := make(map[uint64]int)
+	for _, r := range t {
+		counts[r.Page()]++
+	}
+	pages := make([]uint64, 0, len(counts))
+	for p := range counts {
+		pages = append(pages, p)
+	}
+	sort.Slice(pages, func(i, j int) bool {
+		ci, cj := counts[pages[i]], counts[pages[j]]
+		if ci != cj {
+			return ci > cj
+		}
+		return pages[i] < pages[j]
+	})
+	return pages[:min(n, len(pages))]
+}
 
 func TestRegistryNames(t *testing.T) {
 	want := []string{"parsec", "memtier", "hashmap", "heap", "sysbench", "stream", "dlrm"}
@@ -137,7 +159,7 @@ func TestParsecHotSetMostlyFitsCache(t *testing.T) {
 	// 64 MiB cache, giving the low miss rates of Fig. 6: the pages
 	// covering the bulk of accesses must number below cache capacity.
 	tr := NewParsec().Generate(200000, 1)
-	hot := trace.HotPages(tr, 16384)
+	hot := hotPages(tr, 16384)
 	counts := make(map[uint64]bool, len(hot))
 	for _, p := range hot {
 		counts[p] = true
