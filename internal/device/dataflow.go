@@ -58,7 +58,7 @@ func (d *Dataflow) HostRoute(page uint64) (int64, bool) {
 // Serve routes one device access arriving at arrivalNs through the link and
 // the pipeline timeline. Arrivals must be fed in non-decreasing order.
 func (d *Dataflow) Serve(page uint64, out Outcome, arrivalNs int64) Result {
-	rt := d.Link.RoundTrip(!out.Write, trace.PageSize, arrivalNs) - arrivalNs
+	rt := d.Link.RoundTrip(trace.PageSize, arrivalNs) - arrivalNs
 	ev := fpga.AccessEvent{
 		Page:      page,
 		Write:     out.Write,

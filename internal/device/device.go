@@ -89,8 +89,8 @@ func (f *Flat) Serve(page uint64, out Outcome, startNs int64) (rtNs, devNs, busy
 		}
 	}
 
-	// CXL round trip wraps the device service time: request over, data back
-	// (page payload on the read completion).
-	rtNs = f.Link.RoundTrip(!out.Write, trace.PageSize, startNs) - startNs
+	// CXL round trip wraps the device service time: request over, completion
+	// back, one of them carrying the page.
+	rtNs = f.Link.RoundTrip(trace.PageSize, startNs) - startNs
 	return rtNs, devNs, busyNs
 }

@@ -60,36 +60,45 @@ func auditResidency(s *Service) error {
 
 // auditAccounting checks op conservation in every partition: each served
 // request is recorded exactly once, in its tenant's accounting cell, and
-// every view derived from the cells agrees with the cache's own counters.
+// every view derived from the cells agrees with the device's own counters.
 // Per partition, the sojourn histogram counts what its cells count, which is
-// cache hits + misses + host-routed ops; the cells' hits are the cache hits
-// plus the host-routed ops (served from host DRAM, counted as hits); and in
-// each cell, hits are exactly the HBM-served requests and every request's
-// device time lands in the HBM or the SSD histogram.
+// cache hits + misses + host-routed ops; the cells' hits (their HBM
+// histograms' counts) are the cache hits plus the host-routed ops (served
+// from host DRAM, counted as hits); every request's device time lands in the
+// HBM or the SSD histogram; and the device-routed requests — the cache's
+// hits and misses, which under dataflow timing are the requests the
+// timeline issued — each cross the link once. Host ops derive as the
+// requests the timeline did not issue, zero under flat timing, where the op
+// check therefore requires every request to be a cache hit or miss.
 func auditAccounting(s *Service) error {
 	for pi, p := range s.parts {
 		cs := p.cache.Stats()
-		var ops, hits int64
+		var ops, hits, linked int64
 		for ti := range p.ten {
 			cell := &p.ten[ti]
 			n := cell.hist.Count()
 			ops += n
-			hits += int64(cell.hits)
-			if h := cell.hbmHist.Count(); h != int64(cell.hits) {
-				return fmt.Errorf("partition %d tenant %d: %d HBM-served requests, %d hits", pi, ti, h, cell.hits)
-			}
+			hits += cell.hbmHist.Count()
+			linked += cell.cxlHist.Count()
 			if d := cell.hbmHist.Count() + cell.ssdHist.Count(); d != n {
 				return fmt.Errorf("partition %d tenant %d: %d HBM+SSD device times for %d requests", pi, ti, d, n)
 			}
 		}
+		hostOps := p.hostOps()
 		if got := p.hist.Count(); got != ops {
 			return fmt.Errorf("partition %d: histogram counts %d ops, its cells %d", pi, got, ops)
 		}
-		if want := int64(cs.Hits + cs.Misses + p.hostOps); ops != want {
+		if want := int64(cs.Hits + cs.Misses + hostOps); ops != want {
 			return fmt.Errorf("partition %d: cells count %d ops, cache hits+misses+host ops = %d", pi, ops, want)
 		}
-		if want := int64(cs.Hits + p.hostOps); hits != want {
+		if want := int64(cs.Hits + hostOps); hits != want {
 			return fmt.Errorf("partition %d: cells count %d hits, cache hits+host ops = %d", pi, hits, want)
+		}
+		if want := int64(cs.Hits + cs.Misses); linked != want {
+			return fmt.Errorf("partition %d: %d link round trips, cache hits+misses = %d", pi, linked, want)
+		}
+		if p.df != nil && linked != int64(p.df.Timeline.Issued()) {
+			return fmt.Errorf("partition %d: %d link round trips, timeline issued %d", pi, linked, p.df.Timeline.Issued())
 		}
 	}
 	return nil
@@ -240,7 +249,7 @@ func TestAccountingAuditDataflow(t *testing.T) {
 	}
 	var hostOps uint64
 	for _, p := range sess.svc.parts {
-		hostOps += p.hostOps
+		hostOps += p.hostOps()
 	}
 	if hostOps == 0 {
 		t.Fatal("no request was host-routed; the audit lost its host-path coverage")

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/cache"
-	"repro/internal/cxl"
 	"repro/internal/fpga"
 	"repro/internal/gmm"
 	"repro/internal/hbm"
@@ -20,27 +19,31 @@ import (
 
 // checkpointFormat versions the on-disk checkpoint document.
 //
-// v3 stores each accounting cell's cumulative totals and each tenant's
-// control-interval mark, where v2 stored per-interval copies (histograms
-// have been bucket counts only since v2). Decoding is not strict, so an
-// older document must be refused by its format rather than load with fields
-// silently dropped: a v1 document would lose its retained raw samples, a v2
-// one would resume with zero marks and queue sums and mis-measure the next
-// control interval.
-const checkpointFormat = "icgmm-session-v3"
+// v4 stores only what resume cannot re-derive: the refit window holds pages
+// without their timestamps, and the partition histograms, tenant and policy
+// thresholds, residency counts, cell hit counts and the link and
+// host-routing counters are gone (see restoreState for how each is
+// rebuilt). v3 introduced cumulative accounting cells and control-interval
+// marks; histograms have been bucket counts only since v2. Decoding is not
+// strict, so an older document must be refused by its format rather than
+// load with fields silently dropped: a v1 document would lose its retained
+// raw samples, a v2 one would resume with zero marks and queue sums, and a
+// v3 one would resume with an empty refit window.
+const checkpointFormat = "icgmm-session-v4"
 
 // checkpointDoc is the complete persisted form of a paused session: the
 // spec that opened it plus every piece of mutable state the run has
-// accumulated. The contract is byte-identity: a session resumed from this
-// document emits exactly the metric bytes the uninterrupted run would have
-// emitted from this batch boundary on, at any shard count. That forces the
-// document to be exhaustive — the scoring bundle (whose stored resident
-// scores were possibly rescored by refreshes), every cache's contents and
-// owner map, tenant budgets and residency, the controller's hill-climb and
-// cooldown state, every histogram's bucket counts and exact accumulator, and
-// the workload streams' RNG cursors. Floats survive the JSON round trip
-// exactly (encoding/json emits the shortest representation that re-parses
-// to identical bits), so nothing here is approximate.
+// accumulated that resume cannot re-derive. The contract is byte-identity: a
+// session resumed from this document emits exactly the metric bytes the
+// uninterrupted run would have emitted from this batch boundary on, at any
+// shard count. That forces the document to hold the scoring bundle (whose
+// stored resident scores were possibly rescored by refreshes), every cache's
+// contents and owner map, tenant budgets, the controller's hill-climb and
+// cooldown state, every accounting cell's histogram bucket counts and exact
+// accumulators, the refit window's pages, and the workload streams' RNG
+// cursors. Floats survive the JSON round trip exactly (encoding/json emits
+// the shortest representation that re-parses to identical bits), so nothing
+// here is approximate.
 type checkpointDoc struct {
 	Format string       `json:"format"`
 	Spec   Spec         `json:"spec"`
@@ -104,19 +107,21 @@ type detectorState struct {
 	Fired    bool    `json:"fired,omitempty"`
 }
 
-// windowState captures the refit sample ring in its exact layout: Items is
-// buf[:pos] while filling, the whole ring (wrap point and all) once full.
+// windowState captures the refit ring's pages in their exact layout: Pages
+// is pages[:pos] while filling, the whole ring (wrap point and all) once
+// full. Timestamps are not stored: the ring's newest page arrived at the
+// checkpointed sequence number minus one, so snapshot re-derives each.
 type windowState struct {
-	Items []trace.Sample `json:"items,omitempty"`
-	Pos   int            `json:"pos"`
-	Full  bool           `json:"full,omitempty"`
+	Pages []float64 `json:"pages,omitempty"`
+	Pos   int       `json:"pos"`
+	Full  bool      `json:"full,omitempty"`
 }
 
 // tenantCtlState is one tenant's serving-time state: the controller's
-// accumulated multiplier, hill-climb memory and control-interval mark.
+// accumulated multiplier, hill-climb memory and control-interval mark. The
+// tenant's threshold is the bundle's base times Mult (applyThresholds).
 type tenantCtlState struct {
 	Mult            float64 `json:"mult"`
-	Threshold       float64 `json:"threshold"`
 	LastMetric      float64 `json:"last_metric,omitempty"`
 	LastWithin      bool    `json:"last_within,omitempty"`
 	LastValid       bool    `json:"last_valid,omitempty"`
@@ -135,24 +140,21 @@ type tenantCtlState struct {
 	MarkQueueSum uint64 `json:"mark_queue_sum,omitempty"`
 }
 
-// partitionState is one partition's complete device state.
+// partitionState is one partition's device state. Its sojourn histogram is
+// not stored: it is the merge of its cells' histograms.
 type partitionState struct {
-	Cache        cache.State          `json:"cache"`
-	Policy       policyState          `json:"policy"`
-	HBM          hbm.State            `json:"hbm"`
-	SSD          ssd.State            `json:"ssd"`
-	Link         cxl.Stats            `json:"link"`
-	NowNs        int64                `json:"now_ns"`
-	EngineBusyNs int64                `json:"engine_busy_ns,omitempty"`
-	Hist         stats.HistogramState `json:"hist"`
-	Tenants      []tenantCellState    `json:"tenants"`
+	Cache        cache.State       `json:"cache"`
+	Policy       policyState       `json:"policy"`
+	HBM          hbm.State         `json:"hbm"`
+	SSD          ssd.State         `json:"ssd"`
+	NowNs        int64             `json:"now_ns"`
+	EngineBusyNs int64             `json:"engine_busy_ns,omitempty"`
+	Tenants      []tenantCellState `json:"tenants"`
 
 	// Dataflow timing state (omitted under flat timing): the fpga timeline's
-	// cursors and outstanding-window occupancy, plus the partition's
-	// host-routing and stall accounting.
+	// cursors, outstanding-window occupancy and its issued and stalled
+	// counts, from which the host-routed count derives.
 	Dataflow *fpga.TimelineState `json:"dataflow,omitempty"`
-	HostOps  uint64              `json:"host_ops,omitempty"`
-	DFStalls uint64              `json:"df_stalls,omitempty"`
 
 	// Shadow-policy state (omitted when no shadow is configured, keeping
 	// shadow-less checkpoints byte-compatible with earlier builds).
@@ -160,20 +162,18 @@ type partitionState struct {
 }
 
 // policyState is the tenant policy engine's per-partition state: the stored
-// eviction keys, the owner map, and the capacity ledger.
+// eviction keys, the owner map, and the budgets. Thresholds and residency
+// counts are re-derived at resume (applyThresholds, the owner map).
 type policyState struct {
-	Scores     [][]float64 `json:"scores"`
-	LastUse    [][]uint64  `json:"last_use"`
-	Owner      [][]int16   `json:"owner"`
-	Thresholds []float64   `json:"thresholds"`
-	Budget     []int       `json:"budget"`
-	Resident   []int       `json:"resident"`
+	Scores  [][]float64 `json:"scores"`
+	LastUse [][]uint64  `json:"last_use"`
+	Owner   [][]int16   `json:"owner"`
+	Budget  []int       `json:"budget"`
 }
 
 // tenantCellState is one (partition, tenant) accounting cell. Its op count
-// and latency sum ride in Hist's exact accumulator.
+// and latency sum ride in Hist's exact accumulator, its hit count in HBM's.
 type tenantCellState struct {
-	Hits          uint64                `json:"hits,omitempty"`
 	BytesAdmitted uint64                `json:"bytes_admitted,omitempty"`
 	QueueSum      uint64                `json:"queue_sum,omitempty"`
 	Hist          stats.HistogramState  `json:"hist"`
@@ -334,7 +334,6 @@ func (s *Service) exportState() serviceState {
 	for i, t := range s.tenants {
 		st.Tenants[i] = tenantCtlState{
 			Mult:            t.mult,
-			Threshold:       t.threshold,
 			LastMetric:      t.lastMetric,
 			LastWithin:      t.lastWithin,
 			LastValid:       t.lastValid,
@@ -366,13 +365,9 @@ func (s *Service) exportState() serviceState {
 			Policy:       p.pol.exportState(),
 			HBM:          p.mem.State(),
 			SSD:          p.dev.State(),
-			Link:         p.link.Stats(),
 			NowNs:        p.now,
 			EngineBusyNs: p.engineBusy,
-			Hist:         p.hist.State(),
 			Tenants:      make([]tenantCellState, len(p.ten)),
-			HostOps:      p.hostOps,
-			DFStalls:     p.dfStalls,
 		}
 		if p.df != nil {
 			tls := p.df.Timeline.State()
@@ -385,7 +380,6 @@ func (s *Service) exportState() serviceState {
 		for t := range p.ten {
 			cell := &p.ten[t]
 			cs := tenantCellState{
-				Hits:          cell.hits,
 				BytesAdmitted: cell.bytesAdmitted,
 				QueueSum:      cell.queueSum,
 				Hist:          cell.hist.State(),
@@ -405,7 +399,12 @@ func (s *Service) exportState() serviceState {
 }
 
 // restoreState replaces the freshly-built service's mutable state with the
-// checkpointed one. The service must have been built from the same spec.
+// checkpointed one, and rebuilds what the document does not store: each
+// partition histogram as the merge of its cells' (the merge is exact), the
+// residency counts from the owner maps (tenantGMM.restoreState), and every
+// tenant's and policy's threshold as the bundle's base times the restored
+// multiplier — the product every batch boundary already holds. The service
+// must have been built from the same spec, around the checkpointed bundle.
 func (s *Service) restoreState(st serviceState) error {
 	if len(st.Partitions) != len(s.parts) {
 		return fmt.Errorf("serve: checkpoint has %d partitions, spec builds %d", len(st.Partitions), len(s.parts))
@@ -433,7 +432,6 @@ func (s *Service) restoreState(st serviceState) error {
 	for i, ts := range st.Tenants {
 		t := s.tenants[i]
 		t.mult = ts.Mult
-		t.threshold = ts.Threshold
 		t.lastMetric = ts.LastMetric
 		t.lastWithin = ts.LastWithin
 		t.lastValid = ts.LastValid
@@ -468,11 +466,8 @@ func (s *Service) restoreState(st serviceState) error {
 		if err := p.dev.RestoreState(ps.SSD); err != nil {
 			return err
 		}
-		p.link.RestoreStats(ps.Link)
 		p.now = ps.NowNs
 		p.engineBusy = ps.EngineBusyNs
-		p.hostOps = ps.HostOps
-		p.dfStalls = ps.DFStalls
 		switch {
 		case p.df == nil && ps.Dataflow != nil:
 			return fmt.Errorf("serve: checkpoint partition %d carries dataflow timeline state but the spec's timing is flat", i)
@@ -491,15 +486,11 @@ func (s *Service) restoreState(st serviceState) error {
 		case ps.Shadow != nil || p.shadow != nil:
 			return fmt.Errorf("serve: checkpoint partition %d shadow-policy presence mismatch with the spec", i)
 		}
-		if err := p.hist.RestoreState(ps.Hist); err != nil {
-			return err
-		}
 		if len(ps.Tenants) != len(p.ten) {
 			return fmt.Errorf("serve: checkpoint partition %d has %d tenant cells, spec builds %d", i, len(ps.Tenants), len(p.ten))
 		}
 		for t, cs := range ps.Tenants {
 			cell := &p.ten[t]
-			cell.hits = cs.Hits
 			cell.bytesAdmitted = cs.BytesAdmitted
 			cell.queueSum = cs.QueueSum
 			if err := cell.hist.RestoreState(cs.Hist); err != nil {
@@ -522,8 +513,10 @@ func (s *Service) restoreState(st serviceState) error {
 					return err
 				}
 			}
+			p.hist.Merge(cell.hist)
 		}
 	}
+	s.applyThresholds()
 	return nil
 }
 
@@ -575,12 +568,10 @@ func (bs bundleState) restore(kind ScoringKind) (*Bundle, error) {
 // exportState snapshots the policy engine's per-partition state.
 func (p *tenantGMM) exportState() policyState {
 	st := policyState{
-		Scores:     make([][]float64, p.nSets),
-		LastUse:    make([][]uint64, p.nSets),
-		Owner:      make([][]int16, p.nSets),
-		Thresholds: append([]float64(nil), p.thresholds...),
-		Budget:     append([]int(nil), p.budget...),
-		Resident:   append([]int(nil), p.resident...),
+		Scores:  make([][]float64, p.nSets),
+		LastUse: make([][]uint64, p.nSets),
+		Owner:   make([][]int16, p.nSets),
+		Budget:  append([]int(nil), p.budget...),
 	}
 	for i := 0; i < p.nSets; i++ {
 		st.Scores[i] = append([]float64(nil), p.scores[i]...)
@@ -590,55 +581,84 @@ func (p *tenantGMM) exportState() policyState {
 	return st
 }
 
-// restoreState replaces the policy engine's state. Geometry and tenant
-// count must match the freshly-attached engine.
+// restoreState replaces the policy engine's state and counts each tenant's
+// residency from the owner map. Geometry and tenant count must match the
+// freshly-attached engine, and the bound cache must already hold its
+// checkpointed contents: every owner must name a tenant (or -1), the owned
+// ways must be exactly the cache's valid ways, and no tenant may hold more
+// blocks than its budget.
 func (p *tenantGMM) restoreState(st policyState) error {
 	if len(st.Scores) != p.nSets || len(st.LastUse) != p.nSets || len(st.Owner) != p.nSets {
 		return fmt.Errorf("serve: checkpoint policy state has %d sets, engine has %d", len(st.Scores), p.nSets)
 	}
-	if len(st.Thresholds) != len(p.thresholds) || len(st.Budget) != len(p.budget) || len(st.Resident) != len(p.resident) {
+	if len(st.Budget) != len(p.budget) {
 		return errors.New("serve: checkpoint policy state tenant count mismatch")
 	}
+	clear(p.resident)
+	owned := 0
 	for i := 0; i < p.nSets; i++ {
 		if len(st.Scores[i]) != p.ways || len(st.LastUse[i]) != p.ways || len(st.Owner[i]) != p.ways {
 			return fmt.Errorf("serve: checkpoint policy state set %d has wrong way count", i)
+		}
+		for w, o := range st.Owner[i] {
+			switch {
+			case o < -1 || int(o) >= len(p.budget):
+				return fmt.Errorf("serve: checkpoint policy owner %d at set %d way %d names no tenant", o, i, w)
+			case o >= 0:
+				p.resident[o]++
+				owned++
+			}
 		}
 		copy(p.scores[i], st.Scores[i])
 		copy(p.lastUse[i], st.LastUse[i])
 		copy(p.owner[i], st.Owner[i])
 	}
-	copy(p.thresholds, st.Thresholds)
 	copy(p.budget, st.Budget)
-	copy(p.resident, st.Resident)
+	// Every valid way owned, and as many owned ways as valid ones: the owner
+	// map covers exactly the cache's contents.
+	valid := 0
+	var unowned error
+	p.cache.Scan(func(set, way int, page uint64, _ bool) {
+		valid++
+		if p.owner[set][way] < 0 {
+			unowned = fmt.Errorf("serve: checkpoint caches page %d at set %d way %d with no owner", page, set, way)
+		}
+	})
+	switch {
+	case unowned != nil:
+		return unowned
+	case owned != valid:
+		return fmt.Errorf("serve: checkpoint owner map holds %d blocks, the cache %d", owned, valid)
+	}
+	if err := p.checkShares(); err != nil {
+		return fmt.Errorf("serve: checkpoint policy state: %w", err)
+	}
 	return nil
 }
 
-// state exports the refit sample ring in its exact layout.
+// state exports the refit ring's pages in their exact layout.
 func (w *sampleWindow) state() windowState {
 	st := windowState{Pos: w.pos, Full: w.full}
 	if w.full {
-		st.Items = append([]trace.Sample(nil), w.buf...)
+		st.Pages = append([]float64(nil), w.pages...)
 	} else if w.pos > 0 {
-		st.Items = append([]trace.Sample(nil), w.buf[:w.pos]...)
+		st.Pages = append([]float64(nil), w.pages[:w.pos]...)
 	}
 	return st
 }
 
-// restore rebuilds the ring. The receiver's capacity (from the spec) must
-// accommodate the checkpointed layout.
+// restore rebuilds the ring. The layout must fit the receiver's capacity
+// (from the spec): the cursor inside the ring, and as many pages as it says.
 func (w *sampleWindow) restore(st windowState) error {
-	switch {
-	case st.Full:
-		if len(st.Items) != len(w.buf) {
-			return fmt.Errorf("serve: checkpoint window holds %d samples, spec sizes the ring at %d", len(st.Items), len(w.buf))
-		}
-		copy(w.buf, st.Items)
-	default:
-		if len(st.Items) != st.Pos || st.Pos > len(w.buf) {
-			return errors.New("serve: checkpoint window cursor inconsistent with its samples")
-		}
-		copy(w.buf[:st.Pos], st.Items)
+	want := st.Pos
+	if st.Full {
+		want = len(w.pages)
 	}
+	inRing := st.Pos >= 0 && (st.Pos < len(w.pages) || st.Pos == 0 && !st.Full)
+	if !inRing || len(st.Pages) != want {
+		return fmt.Errorf("serve: checkpoint window (%d pages, cursor %d, full %v) does not fit the spec's %d-page ring", len(st.Pages), st.Pos, st.Full, len(w.pages))
+	}
+	copy(w.pages, st.Pages)
 	w.pos, w.full = st.Pos, st.Full
 	return nil
 }

@@ -67,13 +67,15 @@ func newCtrlHarness(t *testing.T, specs []TenantSpec, budgets []int, cfg Control
 
 // observe charges one interval's worth of traffic to tenant ti's cumulative
 // cell (all in partition 0; the controller merges across partitions anyway):
-// ops sojourn samples, hits of them hits.
+// ops sojourn samples, hits of them HBM-served.
 func (h *ctrlHarness) observe(ti int, ops, hits uint64) {
 	cell := &h.svc.parts[0].ten[ti]
 	for i := uint64(0); i < ops; i++ {
 		cell.hist.Observe(1000)
 	}
-	cell.hits += hits
+	for i := uint64(0); i < hits; i++ {
+		cell.hbmHist.Observe(1000)
+	}
 }
 
 // fill inserts n distinct pages for tenant ti so share shrinks have resident

@@ -155,7 +155,7 @@ func FuzzDeviceSpec(f *testing.F) {
 	f.Add([]byte(`{"version":1,` + base + `,"device":{"timing":"dataflow","outstanding":4,
 	 "overlap":false,"tag_compare_cycles":3,"hit_cycles":200,"ssd_read_cycles":10000,
 	 "ssd_write_cycles":120000,"inference_cycles":512,"host_pages":4096,"host_latency_ns":90,
-	 "link":{"one_way_ns":120,"bytes_per_ns":32,"flit_bytes":128}}}`))
+	 "link":{"one_way_ns":120,"bytes_per_ns":32}}}`))
 	f.Add([]byte(`{"version":1,` + base + `,"device":{"timing":"dataflow"}}`))
 	f.Add([]byte(`{"version":1,` + base + `,"device":{"timing":"warp"}}`))
 	f.Add([]byte(`{"version":1,` + base + `,"device":{"outstandng":4}}`))

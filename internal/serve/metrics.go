@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/cxl"
 	"repro/internal/ssd"
 	"repro/internal/stats"
 )
@@ -18,7 +17,6 @@ type PartitionSnapshot struct {
 	Ops        uint64
 	Cache      cache.Stats
 	SSD        ssd.Stats
-	Link       cxl.Stats
 	Latency    stats.Summary // sojourn time: queueing + service
 	EngineBusy time.Duration
 	// LastCompletionNs is the partition's virtual clock at the end of the
@@ -154,15 +152,14 @@ func (s *Service) Snapshot() *Snapshot {
 			Ops:              ops,
 			Cache:            cs,
 			SSD:              ds,
-			Link:             p.link.Stats(),
 			Latency:          p.hist.Summarize(),
 			EngineBusy:       time.Duration(p.engineBusy),
 			LastCompletionNs: p.now,
-			HostOps:          p.hostOps,
-			Stalls:           p.dfStalls,
+			HostOps:          p.hostOps(),
 		}
 		if p.df != nil {
-			ps.DeviceOps = ops - p.hostOps
+			ps.DeviceOps = p.df.Timeline.Issued()
+			ps.Stalls = p.df.Timeline.Stalls()
 			if ps.DeviceOps > 0 {
 				ps.QueueDepthMean = float64(p.queueSum()) / float64(ps.DeviceOps)
 			}
@@ -207,7 +204,7 @@ func (s *Service) tenantTotals(ti int) totals {
 	for _, p := range s.parts {
 		c := &p.ten[ti]
 		t.ops += uint64(c.hist.Count())
-		t.hits += c.hits
+		t.hits += uint64(c.hbmHist.Count())
 		t.bytesAdmitted += c.bytesAdmitted
 		t.queueSum += c.queueSum
 		t.latSumNs += c.hist.Sum()
@@ -302,10 +299,13 @@ type metricRecord struct {
 	Tenant    string `json:"tenant,omitempty"`
 	Ops       uint64 `json:"ops,omitempty"`
 	// HitRatio is cumulative over the record's scope (the run so far for
-	// interval/summary records, the partition for partition records);
-	// BatchHitRatio is the most recent batch alone — the drift detector's
-	// input — and appears only on interval records.
-	HitRatio        float64  `json:"hit_ratio"`
+	// interval/summary records, the partition for partition records, the
+	// tenant for tenant and tenant-interval records); BatchHitRatio is the
+	// most recent batch alone — the drift detector's input — and appears
+	// only on interval records. Both are pointers so a measured zero keeps
+	// its key while record kinds that measure no hit ratio (control, share,
+	// refresh, scenario) omit it.
+	HitRatio        *float64 `json:"hit_ratio,omitempty"`
 	BatchHitRatio   *float64 `json:"batch_hit_ratio,omitempty"`
 	Bypasses        uint64   `json:"bypasses,omitempty"`
 	MeanNs          int64    `json:"mean_ns,omitempty"`
@@ -441,7 +441,7 @@ func (s *Service) emitInterval(batchHitRatio float64) {
 		Kind:          "interval",
 		Batch:         s.batches,
 		Ops:           ops,
-		HitRatio:      hitRatio,
+		HitRatio:      &hitRatio,
 		BatchHitRatio: &batchHitRatio,
 		Bypasses:      bypasses,
 		MeanNs:        int64(mean),
@@ -470,7 +470,7 @@ func (s *Service) emitInterval(batchHitRatio float64) {
 				Batch:          s.batches,
 				Tenant:         t.spec.Name,
 				Ops:            tot.ops,
-				HitRatio:       hr,
+				HitRatio:       &hr,
 				BytesAdmitted:  tot.bytesAdmitted,
 				ResidentBlocks: resident,
 				BudgetBlocks:   budget,
@@ -549,8 +549,8 @@ func (s *Service) addDataflowInterval(rec *metricRecord) {
 	var gmmB, ssdB, ctrlB, wall int64
 	for _, p := range s.parts {
 		qsum += p.queueSum()
-		dops += uint64(p.hist.Count()) - p.hostOps
-		stalls += p.dfStalls
+		dops += p.df.Timeline.Issued()
+		stalls += p.df.Timeline.Stalls()
 		g, sd, c, _ := p.df.Timeline.Busy()
 		gmmB += g
 		ssdB += sd
@@ -593,11 +593,12 @@ func (m *metricsWriter) writeFinal(snap *Snapshot, emitTenants bool) error {
 		if snap.MakespanNs > 0 {
 			ops = float64(ps.Ops) / (float64(snap.MakespanNs) / 1e9)
 		}
+		hr := ps.Cache.HitRate()
 		m.write(metricRecord{
 			Kind:      "partition",
 			Partition: &idx,
 			Ops:       ps.Ops,
-			HitRatio:  ps.Cache.HitRate(),
+			HitRatio:  &hr,
 			Bypasses:  ps.Cache.Bypasses,
 			MeanNs:    int64(ps.Latency.Mean),
 			P50Ns:     int64(ps.Latency.P50),
@@ -611,11 +612,12 @@ func (m *metricsWriter) writeFinal(snap *Snapshot, emitTenants bool) error {
 	if emitTenants {
 		for i := range snap.Tenants {
 			ts := &snap.Tenants[i]
+			hr := ts.HitRatio()
 			rec := metricRecord{
 				Kind:           "tenant",
 				Tenant:         ts.Tenant,
 				Ops:            ts.Ops,
-				HitRatio:       ts.HitRatio(),
+				HitRatio:       &hr,
 				BytesAdmitted:  ts.BytesAdmitted,
 				ResidentBlocks: ts.ResidentBlocks,
 				BudgetBlocks:   ts.BudgetBlocks,
@@ -637,7 +639,7 @@ func (m *metricsWriter) writeFinal(snap *Snapshot, emitTenants bool) error {
 			}
 			if snap.Shadow && ts.ShadowOps > 0 {
 				shr := float64(ts.ShadowHits) / float64(ts.ShadowOps)
-				delta := shr - ts.HitRatio()
+				delta := shr - hr
 				smean := int64(ts.ShadowMeanNs)
 				rec.ShadowHitRatio = &shr
 				rec.ShadowHitDelta = &delta
@@ -653,10 +655,11 @@ func (m *metricsWriter) writeFinal(snap *Snapshot, emitTenants bool) error {
 			m.write(rec)
 		}
 	}
+	hr := snap.HitRatio()
 	m.write(metricRecord{
 		Kind:            "summary",
 		Ops:             snap.Ops,
-		HitRatio:        snap.HitRatio(),
+		HitRatio:        &hr,
 		Bypasses:        snap.Cache.Bypasses,
 		MeanNs:          int64(snap.Latency.Mean),
 		P50Ns:           int64(snap.Latency.P50),

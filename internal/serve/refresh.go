@@ -94,21 +94,10 @@ type DriftDetector struct {
 	fired    bool
 }
 
-// NewDriftDetector builds a detector; zero-valued fields take defaults.
+// NewDriftDetector builds a detector from a valid config (see
+// DriftConfig.Validate, which RefreshConfig.Validate runs whenever refresh
+// is on).
 func NewDriftDetector(cfg DriftConfig) *DriftDetector {
-	d := DefaultDriftConfig()
-	if cfg.Delta == 0 {
-		cfg.Delta = d.Delta
-	}
-	if cfg.Sustain == 0 {
-		cfg.Sustain = d.Sustain
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = d.Warmup
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = d.Alpha
-	}
 	return &DriftDetector{cfg: cfg}
 }
 
@@ -164,8 +153,8 @@ type RefreshConfig struct {
 	Mode RefreshMode
 	// Drift parameterizes the trigger.
 	Drift DriftConfig
-	// WindowSamples is the ring of recent (page, timestamp) observations a
-	// refit trains on (default 65536).
+	// WindowSamples is the ring of recent requests a refit trains on
+	// (default 65536).
 	WindowSamples int
 	// MinSamples is the minimum window fill before a refit is attempted.
 	MinSamples int
@@ -201,25 +190,30 @@ func (c RefreshConfig) Validate() error {
 	return c.Drift.Validate()
 }
 
-// sampleWindow is a ring of the most recent raw (page, timestamp) samples.
-// Only the ingest loop touches it; refits snapshot it into a fresh slice.
+// sampleWindow is a ring of the most recent requests' pages. Only the ingest
+// loop touches it, and while refresh is on it pushes every request, so the
+// newest page arrived at the service's sequence number minus one: each
+// page's Algorithm 1 timestamp is a function of its position, derived when a
+// refit snapshots the ring rather than stored.
 type sampleWindow struct {
-	buf  []trace.Sample
-	pos  int
-	full bool
+	pages []float64
+	pos   int
+	full  bool
 }
 
-func newSampleWindow(capacity int) *sampleWindow {
-	if capacity <= 0 {
-		capacity = 1 << 16
+// newSampleWindow sizes the ring for the refresh configuration. Nothing
+// pushes to it while refresh is off, so it then holds no storage.
+func newSampleWindow(cfg RefreshConfig) *sampleWindow {
+	if cfg.Mode == RefreshOff {
+		return &sampleWindow{}
 	}
-	return &sampleWindow{buf: make([]trace.Sample, capacity)}
+	return &sampleWindow{pages: make([]float64, cfg.WindowSamples)}
 }
 
-func (w *sampleWindow) push(page, ts float64) {
-	w.buf[w.pos] = trace.Sample{Page: page, Timestamp: ts}
+func (w *sampleWindow) push(page float64) {
+	w.pages[w.pos] = page
 	w.pos++
-	if w.pos == len(w.buf) {
+	if w.pos == len(w.pages) {
 		w.pos = 0
 		w.full = true
 	}
@@ -227,21 +221,30 @@ func (w *sampleWindow) push(page, ts float64) {
 
 func (w *sampleWindow) size() int {
 	if w.full {
-		return len(w.buf)
+		return len(w.pages)
 	}
 	return w.pos
 }
 
-// snapshot copies the window in chronological order (oldest first).
-func (w *sampleWindow) snapshot() []trace.Sample {
-	if !w.full {
-		out := make([]trace.Sample, w.pos)
-		copy(out, w.buf[:w.pos])
-		return out
+// snapshot returns the window's samples in chronological order (oldest
+// first), each stamped with the Algorithm 1 timestamp of its arrival index:
+// the oldest of n samples arrived at seq-n, where seq is the service's
+// sequence number (the index the next request will get).
+func (w *sampleWindow) snapshot(seq uint64, tcfg trace.TransformConfig) []trace.Sample {
+	out := make([]trace.Sample, w.size())
+	first := seq - uint64(len(out))
+	j := 0
+	if w.full {
+		j = w.pos
 	}
-	out := make([]trace.Sample, 0, len(w.buf))
-	out = append(out, w.buf[w.pos:]...)
-	return append(out, w.buf[:w.pos]...)
+	for i := range out {
+		ts := trace.Timestamp(first+uint64(i), tcfg.LenWindow, tcfg.LenAccessShot)
+		out[i] = trace.Sample{Page: w.pages[j], Timestamp: float64(ts)}
+		if j++; j == len(w.pages) {
+			j = 0
+		}
+	}
+	return out
 }
 
 // refresher owns the live bundle and the refresh machinery. It runs
@@ -289,7 +292,7 @@ func (r *refresher) observe(hitRatio float64) {
 	r.pendingFire = false
 	seed := engine.DeriveSeed(r.svc.cfg.Train.Seed, r.started)
 	r.started++
-	nb, err := r.refit(r.svc.window.snapshot(), seed)
+	nb, err := r.refit(r.svc.window.snapshot(r.svc.seq, r.svc.tcfg), seed)
 	if err != nil {
 		r.failed++
 		r.svc.emit(Event{Kind: EventRefreshFailed, Err: err.Error()})

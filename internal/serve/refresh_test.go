@@ -88,30 +88,38 @@ func TestDriftDetectorBaselineFrozenWhileFired(t *testing.T) {
 	}
 }
 
+// TestSampleWindow: the ring keeps the newest pages in arrival order, and a
+// snapshot stamps each with the Algorithm 1 timestamp of its arrival index
+// (the oldest of n samples arrived at seq-n), before and after the wrap.
 func TestSampleWindow(t *testing.T) {
-	w := newSampleWindow(4)
-	for i := 0; i < 3; i++ {
-		w.push(float64(i), float64(i))
-	}
-	if w.size() != 3 {
-		t.Fatalf("size = %d", w.size())
-	}
-	snap := w.snapshot()
-	if len(snap) != 3 || snap[0].Page != 0 || snap[2].Page != 2 {
-		t.Fatalf("partial snapshot = %v", snap)
-	}
-	for i := 3; i < 10; i++ {
-		w.push(float64(i), float64(i))
-	}
-	if w.size() != 4 {
-		t.Fatalf("full size = %d", w.size())
-	}
-	snap = w.snapshot()
-	// Chronological order, oldest first: 6,7,8,9.
-	for i, s := range snap {
-		if s.Page != float64(6+i) {
-			t.Fatalf("wrapped snapshot = %v", snap)
+	tcfg := trace.TransformConfig{LenWindow: 1, LenAccessShot: 3}
+	w := newSampleWindow(RefreshConfig{Mode: RefreshSync, WindowSamples: 4})
+	check := func(seq uint64, wantPages ...float64) {
+		t.Helper()
+		if w.size() != len(wantPages) {
+			t.Fatalf("seq %d: size = %d, want %d", seq, w.size(), len(wantPages))
 		}
+		snap := w.snapshot(seq, tcfg)
+		for i, s := range snap {
+			arrival := seq - uint64(len(snap)) + uint64(i)
+			if s.Page != wantPages[i] || s.Timestamp != float64(arrival%3) {
+				t.Fatalf("seq %d: snapshot = %v, want pages %v stamped (arrival mod 3)", seq, snap, wantPages)
+			}
+		}
+	}
+	// Page i arrives at index i; pages are offset so they never equal their
+	// timestamps.
+	for i := 0; i < 3; i++ {
+		w.push(float64(100 + i))
+	}
+	check(3, 100, 101, 102)
+	for i := 3; i < 10; i++ {
+		w.push(float64(100 + i))
+	}
+	// Chronological order, oldest first: arrivals 6..9, timestamps 0,1,2,0.
+	check(10, 106, 107, 108, 109)
+	if off := newSampleWindow(RefreshConfig{Mode: RefreshOff, WindowSamples: 4}); len(off.pages) != 0 {
+		t.Fatalf("refresh-off ring holds %d pages of storage", len(off.pages))
 	}
 }
 
@@ -150,7 +158,7 @@ func TestTimestampForMatchesTransformer(t *testing.T) {
 	if svc.Refreshes() != 0 || svc.refresher.failed != 0 {
 		t.Fatalf("refit ran: %d installed, %d failed", svc.Refreshes(), svc.refresher.failed)
 	}
-	got := svc.window.snapshot()
+	got := svc.window.snapshot(svc.seq, svc.tcfg)
 	if len(got) != n {
 		t.Fatalf("window holds %d samples, want %d", len(got), n)
 	}

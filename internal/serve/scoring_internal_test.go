@@ -216,7 +216,7 @@ func TestDrainBatchSteadyStateAllocs(t *testing.T) {
 				fill()
 				p.drainBatch(b)
 			}
-			if hits, ops := p.ten[0].hits, uint64(p.hist.Count()); hits == 0 || hits == ops {
+			if hits, ops := p.ten[0].hbmHist.Count(), p.hist.Count(); hits == 0 || hits == ops {
 				t.Fatalf("warm-up traffic not mixed: %d hits / %d ops", hits, ops)
 			}
 			var inferences uint64
@@ -319,7 +319,7 @@ func TestScoresOnlyMisses(t *testing.T) {
 			var ops, hostOps, misses, evictions uint64
 			for _, p := range svc.parts {
 				ops += uint64(p.hist.Count())
-				hostOps += p.hostOps
+				hostOps += p.hostOps()
 				st := p.cache.Stats()
 				misses += st.Misses
 				evictions += st.Evictions

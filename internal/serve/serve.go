@@ -344,12 +344,13 @@ type partition struct {
 	pol   *tenantGMM
 	mem   *hbm.Memory
 	dev   *ssd.Device
-	link  *cxl.Link
 
 	// flat and df are the timing backend every request is served through;
 	// exactly one is non-nil. Flat gates requests on the partition clock,
 	// dataflow queues them in the fpga timeline and routes host-resident
-	// pages around the device.
+	// pages around the device. The timeline counts the device-routed
+	// requests and their stalls (Issued, Stalls), so the partition keeps no
+	// copy of either; host-routed ops are the rest (see hostOps).
 	flat *device.Flat
 	df   *device.Dataflow
 
@@ -367,12 +368,6 @@ type partition struct {
 	// accounting cells").
 	hist *stats.Histogram
 	ten  []tenantPartStats // per-tenant accounting cells
-
-	// Dataflow accounting (zero under flat timing): requests routed to host
-	// DRAM, and device-routed requests that stalled on a full outstanding
-	// window. Device-routed ops are hist.Count() - hostOps.
-	hostOps  uint64
-	dfStalls uint64
 
 	queue []scoredReq
 	// bundle is the scoring bundle of the batch being drained, loaded once
@@ -495,7 +490,7 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 		}
 		var shadow *shadowPart
 		if cfg.Shadow != nil {
-			if shadow, err = newShadowPart(cfg, cfg.Shadow, pc, len(specs), mem, dev); err != nil {
+			if shadow, err = newShadowPart(cfg, cfg.Shadow, pc, len(specs), mem, dev, link); err != nil {
 				return nil, err
 			}
 		}
@@ -504,7 +499,6 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 			pol:    pol,
 			mem:    mem,
 			dev:    dev,
-			link:   link,
 			shadow: shadow,
 			hist:   stats.DefaultLatencyHistogram(),
 			ten:    ten,
@@ -540,7 +534,7 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 		runner:  engine.NewRunner(cfg.Shards),
 		parts:   parts,
 		tenants: tenants,
-		window:  newSampleWindow(cfg.Refresh.WindowSamples),
+		window:  newSampleWindow(cfg.Refresh),
 		metrics: newMetricsWriter(cfg.Metrics),
 	}
 	s.refresher = newRefresher(s, b)
@@ -684,7 +678,7 @@ func (s *Service) processBatch(batch []Request) error {
 		batch[i].Seq = s.seq
 		ts := trace.Timestamp(s.seq, s.tcfg.LenWindow, s.tcfg.LenAccessShot)
 		if windowOn {
-			s.window.push(float64(batch[i].Page), float64(ts))
+			s.window.push(float64(batch[i].Page))
 		}
 		p := s.parts[partitionOf(batch[i].Page, nParts)]
 		p.queue = append(p.queue, scoredReq{req: batch[i], ts: ts})
@@ -755,15 +749,25 @@ func (p *partition) scoreMiss(page uint64) float64 {
 	return p.missScore[0]
 }
 
-// hitsServed sums every cell's cumulative hit count.
+// hitsServed sums every cell's cumulative hit count: its HBM histogram's
+// count, since device hits and host-routed requests both observe it.
 func (s *Service) hitsServed() uint64 {
 	var hits uint64
 	for _, p := range s.parts {
 		for ti := range p.ten {
-			hits += p.ten[ti].hits
+			hits += uint64(p.ten[ti].hbmHist.Count())
 		}
 	}
 	return hits
+}
+
+// hostOps counts the partition's host-routed requests: every request not
+// issued to the device timeline. Only dataflow timing routes to the host.
+func (p *partition) hostOps() uint64 {
+	if p.df == nil {
+		return 0
+	}
+	return uint64(p.hist.Count()) - p.df.Timeline.Issued()
 }
 
 // hostRoute reports whether the page is host-DRAM resident — served
@@ -795,9 +799,7 @@ func (p *partition) serveOne(req Request, timestamp int) {
 		if done > p.now {
 			p.now = done
 		}
-		p.hostOps++
 		p.hist.Observe(lat)
-		ts.hits++
 		ts.hist.Observe(lat)
 		ts.hbmHist.Observe(lat)
 		if ts.intervalHist != nil {
@@ -817,9 +819,6 @@ func (p *partition) serveOne(req Request, timestamp int) {
 		r := p.df.Serve(req.Page, out, req.ArrivalNs)
 		done, linkNs, devNs = r.DoneNs, r.LinkNs, r.DevNs
 		ts.queueSum += uint64(r.QueueDepth)
-		if r.Stalled {
-			p.dfStalls++
-		}
 	} else {
 		start := max(req.ArrivalNs, p.now)
 		var busy int64
@@ -838,7 +837,6 @@ func (p *partition) serveOne(req Request, timestamp int) {
 	ts.hist.Observe(sojourn)
 	ts.cxlHist.Observe(linkNs)
 	if res.Hit {
-		ts.hits++
 		ts.hbmHist.Observe(devNs)
 	} else {
 		ts.ssdHist.Observe(devNs)

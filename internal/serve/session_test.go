@@ -463,6 +463,19 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		return out
 	}
 	state := func(doc map[string]any) map[string]any { return doc["state"].(map[string]any) }
+	// ownedWay returns partition 0's policy and the first owned way in its
+	// owner map, as (set, way).
+	ownedWay := func(doc map[string]any) (map[string]any, int, int) {
+		pol := state(doc)["partitions"].([]any)[0].(map[string]any)["policy"].(map[string]any)
+		for si, row := range pol["owner"].([]any) {
+			for w, o := range row.([]any) {
+				if o.(float64) >= 0 {
+					return pol, si, w
+				}
+			}
+		}
+		panic("partition 0 holds no owned block")
+	}
 	cases := map[string]func(doc map[string]any){
 		"partition count": func(doc map[string]any) {
 			s := state(doc)
@@ -482,7 +495,7 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 			w := state(doc)["window"].(map[string]any)
 			w["pos"] = 3.0
 			w["full"] = false
-			w["items"] = []any{}
+			w["pages"] = []any{}
 		},
 		"negative bundle weight": func(doc map[string]any) {
 			b := state(doc)["bundle"].(map[string]any)
@@ -500,6 +513,21 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 			p := state(doc)["partitions"].([]any)[0].(map[string]any)
 			cell := p["tenants"].([]any)[0].(map[string]any)
 			cell["interval_hist"] = map[string]any{}
+		},
+		// Residency is counted from the owner map at resume, so the map
+		// must name real tenants, match the cache, and fit the budgets.
+		"owner outside the tenants": func(doc map[string]any) {
+			pol, si, w := ownedWay(doc)
+			pol["owner"].([]any)[si].([]any)[w] = 99.0
+		},
+		"valid cache way without an owner": func(doc map[string]any) {
+			pol, si, w := ownedWay(doc)
+			pol["owner"].([]any)[si].([]any)[w] = -1.0
+		},
+		"tenant over its budget": func(doc map[string]any) {
+			pol, si, w := ownedWay(doc)
+			owner := int(pol["owner"].([]any)[si].([]any)[w].(float64))
+			pol["budget"].([]any)[owner] = 0.0
 		},
 		"cache set count": func(doc map[string]any) {
 			p := state(doc)["partitions"].([]any)[0].(map[string]any)
@@ -538,8 +566,9 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 	// loading with fields silently dropped. A v1 document kept raw samples
 	// in every histogram. A v2 one kept per-interval control copies instead
 	// of marks, so it would resume with zero marks and queue sums and
-	// mis-measure the next control interval.
-	for _, old := range []string{"icgmm-session-v1", "icgmm-session-v2"} {
+	// mis-measure the next control interval. A v3 one stored its refit
+	// window as "items", so it would resume with an empty window.
+	for _, old := range []string{"icgmm-session-v1", "icgmm-session-v2", "icgmm-session-v3"} {
 		doc := tamper(t, func(doc map[string]any) { doc["format"] = old })
 		_, err = serve.Resume(bytes.NewReader(doc), nil)
 		if err == nil || !strings.Contains(err.Error(), `unknown checkpoint format "`+old+`"`) {

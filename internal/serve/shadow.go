@@ -183,9 +183,8 @@ type shadowPart struct {
 
 // newShadowPart builds one partition's shadow cache on the same geometry as
 // the live partition. The latency constants come from the partition's own
-// hbm/ssd models and an unloaded throwaway link (never the live link — its
-// cumulative counters are part of the checkpoint).
-func newShadowPart(cfg Config, sb *ShadowBundle, pc cache.Config, nTenants int, mem *hbm.Memory, dev *ssd.Device) (*shadowPart, error) {
+// hbm/ssd models and link.
+func newShadowPart(cfg Config, sb *ShadowBundle, pc cache.Config, nTenants int, mem *hbm.Memory, dev *ssd.Device, link *cxl.Link) (*shadowPart, error) {
 	pol := policy.NewLSTMPolicy(policy.LSTMPolicyConfig{
 		Net:        sb.Net,
 		Normalizer: sb.Norm,
@@ -198,17 +197,13 @@ func newShadowPart(cfg Config, sb *ShadowBundle, pc cache.Config, nTenants int, 
 	if err != nil {
 		return nil, fmt.Errorf("serve: shadow cache: %w", err)
 	}
-	link, err := cxl.NewLink(cfg.Link)
-	if err != nil {
-		return nil, err
-	}
 	return &shadowPart{
 		cache:   c,
 		pol:     pol,
 		hitNs:   mem.HitLatency(),
 		readNs:  dev.ReadPenalty(),
 		writeNs: dev.WritePenalty(),
-		rtNs:    link.RoundTrip(true, trace.PageSize, 0),
+		rtNs:    link.RoundTrip(trace.PageSize, 0),
 		ten:     make([]shadowTenantStats, nTenants),
 	}, nil
 }

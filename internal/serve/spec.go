@@ -320,11 +320,10 @@ type DeviceSpec struct {
 }
 
 // LinkSpec overrides the CXL link model (cxl.DefaultLinkConfig defaults:
-// 150 ns one-way, 25 B/ns, 64 B flits).
+// 150 ns one-way, 25 B/ns).
 type LinkSpec struct {
 	OneWayNs   int64   `json:"one_way_ns,omitempty"`
 	BytesPerNs float64 `json:"bytes_per_ns,omitempty"`
-	FlitBytes  uint64  `json:"flit_bytes,omitempty"`
 }
 
 // ParseSpec decodes and validates a spec document. Decoding is strict:
@@ -668,9 +667,6 @@ func (s Spec) config() (Config, error) {
 			}
 			if l.BytesPerNs != 0 {
 				cfg.Link.BytesPerNs = l.BytesPerNs
-			}
-			if l.FlitBytes != 0 {
-				cfg.Link.FlitBytes = l.FlitBytes
 			}
 		}
 	}

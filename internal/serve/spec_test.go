@@ -75,6 +75,10 @@ func TestParseSpecFieldPathErrors(t *testing.T) {
 			  "qos":{"metric":"hit_ratio","targett":0.7}}]}`,
 			path: "spec.tenants[0].qos.targett",
 		},
+		"removed link key": {
+			in:   `{"version":1,"device":{"link":{"one_way_ns":150,"flit_bytes":64}}}`,
+			path: "spec.device.link.flit_bytes",
+		},
 	}
 	for name, tc := range cases {
 		_, err := serve.ParseSpec([]byte(tc.in))

@@ -703,22 +703,23 @@ func (p *tenantGMM) checkShares() error {
 // (partition, tenant and run totals, batch and control-interval measurements)
 // is a merge of cells or a delta of their cumulative totals. The one other
 // per-request histogram, partition.hist, is by construction the merge of its
-// partition's cell sojourn histograms (see there for why it is kept). Touched
-// only by the shard draining the partition, merged in partition order at
-// reporting boundaries — the same determinism decomposition as the partition
-// itself.
+// partition's cell sojourn histograms (see there for why it is kept). Each
+// count is stored once: the cell's ops and latency sum are its sojourn
+// histogram's exact Count and Sum, and its hits are its HBM histogram's
+// Count. Touched only by the shard draining the partition, merged in
+// partition order at reporting boundaries — the same determinism
+// decomposition as the partition itself.
 type tenantPartStats struct {
-	hits          uint64
 	bytesAdmitted uint64
 	// queueSum sums the outstanding-window depth the tenant's device-routed
 	// requests observed at arrival (dataflow timing; always zero under
 	// flat), the numerator of the queue_depth QoS metric.
 	queueSum uint64
-	// hist is the sojourn time. Its exact Count and Sum are the cell's op
-	// count and latency sum, so no counter repeats them.
-	hist    *stats.Histogram
-	cxlHist *stats.Histogram // link round trip
-	hbmHist *stats.Histogram // device time of hits
+	hist     *stats.Histogram // sojourn time: queueing plus service
+	cxlHist  *stats.Histogram // link round trip of device-routed requests
+	// hbmHist is the device time of hits: cache hits and host-routed
+	// requests (served from host DRAM, counted as hits) alike.
+	hbmHist *stats.Histogram
 	ssdHist *stats.Histogram // device time of misses
 	// intervalHist is the sojourn time over the current control interval,
 	// emptied at every control step. Only the cells of a p99_ns tenant have

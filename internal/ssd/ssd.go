@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // Profile holds the latency characteristics of one storage technology.
@@ -64,8 +62,8 @@ const (
 type Device struct {
 	profile  Profile
 	channels []int64 // per-channel busy-until, virtual ns
-	reads    stats.Counter
-	writes   stats.Counter
+	reads    uint64
+	writes   uint64
 }
 
 // New creates a device with the given profile and channel count.
@@ -103,10 +101,10 @@ func (d *Device) Access(op Op, page uint64, nowNs int64) (doneNs int64) {
 	switch op {
 	case OpWrite:
 		service = d.profile.WriteLatency.Nanoseconds()
-		d.writes.Inc()
+		d.writes++
 	default:
 		service = d.profile.ReadLatency.Nanoseconds()
-		d.reads.Inc()
+		d.reads++
 	}
 	done := start + service
 	d.channels[ch] = done
@@ -126,8 +124,8 @@ type State struct {
 func (d *Device) State() State {
 	return State{
 		Channels: append([]int64(nil), d.channels...),
-		Reads:    d.reads.Value(),
-		Writes:   d.writes.Value(),
+		Reads:    d.reads,
+		Writes:   d.writes,
 	}
 }
 
@@ -138,10 +136,7 @@ func (d *Device) RestoreState(s State) error {
 		return fmt.Errorf("ssd: state has %d channels, device has %d", len(s.Channels), len(d.channels))
 	}
 	copy(d.channels, s.Channels)
-	d.reads.Reset()
-	d.reads.Add(s.Reads)
-	d.writes.Reset()
-	d.writes.Add(s.Writes)
+	d.reads, d.writes = s.Reads, s.Writes
 	return nil
 }
 
@@ -159,5 +154,5 @@ type Stats struct {
 
 // Stats returns a snapshot of device counters.
 func (d *Device) Stats() Stats {
-	return Stats{Reads: d.reads.Value(), Writes: d.writes.Value()}
+	return Stats{Reads: d.reads, Writes: d.writes}
 }

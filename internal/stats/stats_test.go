@@ -8,36 +8,6 @@ import (
 	"time"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Inc()
-	c.Add(3)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Errorf("Value after Reset = %d, want 0", c.Value())
-	}
-}
-
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Rate() != 0 || r.MissRate() != 0 {
-		t.Error("empty ratio should report 0")
-	}
-	for i := 0; i < 10; i++ {
-		r.Observe(i < 7)
-	}
-	if r.Rate() != 0.7 {
-		t.Errorf("Rate = %v, want 0.7", r.Rate())
-	}
-	if got := r.MissRate(); got < 0.2999 || got > 0.3001 {
-		t.Errorf("MissRate = %v, want 0.3", got)
-	}
-}
-
 func TestLatencyAccumulator(t *testing.T) {
 	var a LatencyAccumulator
 	for _, ns := range []int64{10, 20, 30} {
